@@ -6,14 +6,11 @@ from .entropy import (
     EntropyResult,
     EntropySpec,
     GateDecision,
-    GateError,
     LambdaRow,
     effective_dof,
     entropy,
     existence_gate,
     gamma_entropy_closed_form,
-    integral_f_alpha,
-    integral_f_alpha_log,
     lambda_convergence_study,
     scale_transform,
 )
@@ -35,7 +32,6 @@ from .quad import (
     NonConvergence,
     QuadConfig,
     QuadResult,
-    check_log_weight_integrability,
     integrate_halfline,
 )
 from .specfun import (
@@ -51,16 +47,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CentralChiSq", "NoncentralChiSq", "GammaLaw", "ScaledLaw", "Law",
-    "EntropyKind", "EntropySpec", "EntropyResult", "GateDecision", "GateError",
+    "EntropyKind", "EntropySpec", "EntropyResult", "GateDecision",
     "effective_dof", "existence_gate", "entropy",
-    "integral_f_alpha", "integral_f_alpha_log",
     "scale_transform", "gamma_entropy_closed_form",
     "lambda_convergence_study", "LambdaRow",
     "CIRParams", "BesselParams", "CurveRow", "BZeroRow", "TimeGrid",
     "cir_marginal", "bessel_marginal", "entropy_curve",
     "cir_limit_entropy", "bessel_limit_entropy", "b_to_zero_study",
     "QuadConfig", "QuadResult", "NonConvergence", "IntegrandFailure",
-    "integrate_halfline", "check_log_weight_integrability",
+    "integrate_halfline",
     "BesselOrder", "log_gamma", "digamma", "log_bessel_i",
     "bessel_i_bounds", "gamma_log_integral",
     "__version__",

@@ -118,8 +118,8 @@ class NoncentralChiSq:
         nu = 0.5 * self.k - 1.0
         out = (
             -0.5 * (arr + self.lam)
-            + (0.25 * self.k - 0.5) * np.log(arr / self.lam)
-            + log_bessel_i(nu, np.sqrt(self.lam * arr))
+            + (0.25 * self.k - 0.5) * (np.log(arr) - math.log(self.lam))
+            + log_bessel_i(nu, math.sqrt(self.lam) * np.sqrt(arr))
             - _LOG2
         )
         return _ret(out, scalar)

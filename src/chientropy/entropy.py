@@ -37,14 +37,11 @@ __all__ = [
     "EntropySpec",
     "EntropyResult",
     "GateDecision",
-    "GateError",
     "REASON_GATE",
     "REASON_PARAMETER",
     "REASON_NONCONVERGENCE",
     "effective_dof",
     "existence_gate",
-    "integral_f_alpha",
-    "integral_f_alpha_log",
     "entropy",
     "scale_transform",
     "gamma_entropy_closed_form",
@@ -219,10 +216,6 @@ class GateDecision:
         return self.ok
 
 
-class GateError(ValueError):
-    """Raised by the raw integral operations when the gate fails."""
-
-
 def effective_dof(law: Law) -> float:
     """Degrees of freedom governing the origin singularity of the law."""
     if isinstance(law, (CentralChiSq, NoncentralChiSq)):
@@ -256,19 +249,6 @@ def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
     return GateDecision(True)
 
 
-def _renyi_like(alpha: float) -> EntropySpec:
-    # internal helper: a spec whose gate checks the single order alpha
-    if abs(alpha - 1.0) < 1e-15:
-        return EntropySpec.shannon()
-    return EntropySpec(EntropyKind.RENYI, alpha=alpha)
-
-
-def _gate_or_raise(law: Law, alpha: float) -> None:
-    decision = existence_gate(effective_dof(law), _renyi_like(alpha))
-    if not decision:
-        raise GateError(f"existence gate failed: {decision.detail}")
-
-
 def _quad_f_alpha(law: Law, alpha: float, config: QuadConfig | None) -> QuadResult:
     def integrand(x: float) -> float:
         return math.exp(alpha * law.log_pdf(x))
@@ -283,30 +263,6 @@ def _quad_f_alpha_log(law: Law, alpha: float, config: QuadConfig | None) -> Quad
         return w * lp if w != 0.0 else 0.0
 
     return integrate_halfline(integrand, config)
-
-
-def integral_f_alpha(law: Law, alpha: float,
-                     config: QuadConfig | None = None) -> float:
-    """int_0^inf f(x)^alpha dx by adaptive quadrature.
-
-    Requires the existence gate for order ``alpha`` (raises
-    :class:`GateError` otherwise); propagates quadrature errors.
-    """
-    a = float(alpha)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    _gate_or_raise(law, a)
-    return _quad_f_alpha(law, a, config).value
-
-
-def integral_f_alpha_log(law: Law, alpha: float,
-                         config: QuadConfig | None = None) -> float:
-    """int_0^inf f(x)^alpha log f(x) dx by adaptive quadrature."""
-    a = float(alpha)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    _gate_or_raise(law, a)
-    return _quad_f_alpha_log(law, a, config).value
 
 
 def _parameter_exclusion(spec: EntropySpec) -> str | None:

@@ -31,7 +31,6 @@ __all__ = [
     "NonConvergence",
     "IntegrandFailure",
     "integrate_halfline",
-    "check_log_weight_integrability",
 ]
 
 # Split-point search grid: log spaced, wide enough to bracket the mode
@@ -181,16 +180,3 @@ def integrate_halfline(f: Callable[[float], float],
 
     return QuadResult(value=value, error_estimate=error,
                       subdivisions_used=used, converged=True)
-
-
-def check_log_weight_integrability(nu: float, mu: float) -> bool:
-    """Whether int_0^inf x^(nu-1) e^(-mu x) |log x| dx is finite.
-
-    True exactly when ``nu > 0`` and ``mu > 0``: the log factor is
-    integrable against the power singularity at 0 for any positive
-    ``nu``, and the exponential must actually decay.
-    """
-    nuf, muf = float(nu), float(mu)
-    if math.isnan(nuf) or math.isnan(muf):
-        raise ValueError("nu and mu must not be NaN")
-    return nuf > 0.0 and muf > 0.0

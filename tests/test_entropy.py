@@ -14,13 +14,10 @@ from chientropy.entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
-    GateError,
     effective_dof,
     entropy,
     existence_gate,
     gamma_entropy_closed_form,
-    integral_f_alpha,
-    integral_f_alpha_log,
     lambda_convergence_study,
     scale_transform,
 )
@@ -51,22 +48,6 @@ def test_noncentral_shannon_reference():
     res = entropy(NoncentralChiSq(4.0, 4.0), EntropySpec.shannon())
     assert res.value == pytest.approx(2.889205307662322614784, rel=1e-10)
     assert res.error_estimate is not None and res.error_estimate < 1e-8
-
-
-def test_integral_f_alpha_values():
-    assert integral_f_alpha(CentralChiSq(2.0), 2.0) == pytest.approx(0.25, rel=1e-10)
-    assert integral_f_alpha(CentralChiSq(4.0), 2.0) == pytest.approx(0.125, rel=1e-10)
-    assert integral_f_alpha(NoncentralChiSq(3.0, 2.0), 1.0) == pytest.approx(1.0, rel=1e-10)
-    # int f^2 log f for X_2: -log(2)/4 - 1/8
-    assert integral_f_alpha_log(CentralChiSq(2.0), 2.0) == pytest.approx(
-        -0.2982867951399863273543, rel=1e-10)
-
-
-def test_integral_f_alpha_gate_error():
-    with pytest.raises(GateError):
-        integral_f_alpha(CentralChiSq(1.2), 4.0)
-    with pytest.raises(GateError):
-        integral_f_alpha_log(CentralChiSq(1.2), 4.0)
 
 
 def test_gamma_closed_form_examples():

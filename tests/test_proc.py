@@ -3,10 +3,14 @@ directly coded transition densities, long-time limits, and the small-b
 regime."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 import scipy.special as sp
+import scipy.stats as st
 
 from chientropy.dist import NoncentralChiSq, ScaledLaw
 from chientropy.entropy import (
@@ -114,6 +118,43 @@ def test_cir_long_time_limit(b):
         at_t = entropy(cir_marginal(params, t), spec).value
         lim = cir_limit_entropy(params, spec).value
         assert abs(at_t - lim) < 1e-6, spec.kind
+
+
+def test_cir_curve_noncentrality_near_underflow():
+    # For b*t between about 698 and 745 the noncentrality of the CIR
+    # marginal's base law is subnormal (4e-304 down to 4e-323), where
+    # log(x / lam) and lam * x used to overflow or underflow.  The law is
+    # then the stationary gamma law to far below double precision.
+    # Shannon reference: scipy.stats.gamma(2, scale=0.5).entropy(),
+    # the stationary law of (a, b, sigma, r0) = (1, 1, 1, 1).
+    shannon_ref = st.gamma(2.0, scale=0.5).entropy()
+    assert shannon_ref == pytest.approx(0.8840684843415875, abs=1e-15)
+    rows = entropy_curve(CIRParams(1.0, 1.0, 1.0, 1.0),
+                         TimeGrid((700.0, 720.0, 740.0, 744.0)),
+                         EntropySpec.shannon())
+    for row in rows:
+        assert row.result.is_finite, (row.t, row.result)
+        assert abs(row.result.value - shannon_ref) < 1e-9, row.t
+
+    # Renyi-2 reference: -log int g^2 for the stationary gamma density g
+    # of (1.5, 1, 1.2, 3), shape 2a/sigma^2 = 25/12 and scale
+    # sigma^2/(2b) = 0.72, integrated by scipy.integrate.quad.
+    g = st.gamma(25.0 / 12.0, scale=0.72)
+    int_g2 = si.quad(lambda x: g.pdf(x) ** 2, 0.0, math.inf,
+                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    renyi_ref = -math.log(int_g2)
+    assert renyi_ref == pytest.approx(1.089014209027051, abs=1e-12)
+    params = CIRParams(1.5, 1.0, 1.2, 3.0)
+    for t in (698.0, 720.0, 745.0):
+        res = entropy(cir_marginal(params, t), EntropySpec.renyi(2.0))
+        assert res.is_finite, (t, res)
+        assert abs(res.value - renyi_ref) < 1e-9, t
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chientropy", "curve", "--process", "cir",
+         "--a", "1", "--b", "1", "--sigma", "1", "--r0", "1", "--times", "1,720"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cir_curve_rows():

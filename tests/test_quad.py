@@ -10,7 +10,6 @@ from chientropy.quad import (
     IntegrandFailure,
     NonConvergence,
     QuadConfig,
-    check_log_weight_integrability,
     integrate_halfline,
 )
 from chientropy.specfun import gamma_log_integral, log_gamma
@@ -116,12 +115,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(split_point=-2.0)
 
-
-def test_check_log_weight_integrability():
-    assert check_log_weight_integrability(0.5, 1.0)
-    assert check_log_weight_integrability(3.0, 0.1)
-    assert not check_log_weight_integrability(0.0, 1.0)
-    assert not check_log_weight_integrability(-1.0, 1.0)
-    assert not check_log_weight_integrability(1.0, 0.0)
-    with pytest.raises(ValueError):
-        check_log_weight_integrability(math.nan, 1.0)

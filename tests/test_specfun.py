@@ -1,11 +1,10 @@
 """Special function tests: frozen high-precision references plus the
-bracket, recurrence, and regime-crossover properties."""
+bracket, recurrence, and series-versus-library-Bessel properties."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.special as sp
 
 from chientropy.specfun import (
     BesselOrder,
@@ -18,7 +17,11 @@ from chientropy.specfun import (
 from chientropy.specfun import _log_i_series
 
 # Reference values computed with mpmath at 40 significant digits and
-# frozen here.  Columns: nu, x, log(I_nu(x)).
+# frozen here.  Columns: nu, x, log(I_nu(x)).  The rows from nu = 100,
+# x = 0.001 on lie where the scaled library Bessel function underflows
+# and log_bessel_i falls back on its log-space series; they were
+# computed with mpmath.besseli at 30 significant digits, at the exact
+# double value of x, and frozen here.
 LOG_I_REFERENCE = [
     (0.0, 0.001, 2.499999843750017465192e-07),
     (-0.9, 0.5, -0.5085648379870769325939),
@@ -39,6 +42,13 @@ LOG_I_REFERENCE = [
     (0.0, 10000.0, 9994.475903781432301005),
     (0.5, 1000000.0, 999992.1733061878131902),
     (7.0, 100000000.0, 99999989.87072085106914),
+    (100.0, 0.001, -1123.829621507296476685),
+    (100.0, 0.06, -714.3951563766709616351),
+    (20.0, 1e-155, -7194.212348353494011388),
+    (400.0, 50.0, -711.3947705246809654302),
+    (800.0, 300.0, -515.8229802972735071835),
+    (1600.0, 1720.0, 1014.455068292712318815),
+    (3200.0, 7000.0, 6275.184427878106001737),
 ]
 
 
@@ -81,6 +91,16 @@ def test_log_bessel_i_matches_truncated_series_below_30():
         assert abs(math.expm1(got - series(nu, x))) <= 1e-10
 
 
+def test_log_bessel_i_series_cap_raises():
+    # Near nu = 1e5, x = 5e6 the scaled Bessel function underflows and
+    # the series would need millions of terms (its largest term sits
+    # near m = 2.5e6); a truncated sum would be wrong by millions (the
+    # Debye uniform expansion, DLMF 10.41.3, gives log I ~ 4998991.40),
+    # so the series must refuse instead.
+    with pytest.raises(ValueError):
+        log_bessel_i(1e5, 5e6)
+
+
 def test_log_bessel_i_vectorized_and_scalar():
     xs = np.array([0.5, 3.0, 40.0, 500.0])
     vec = log_bessel_i(1.5, xs)
@@ -112,19 +132,13 @@ def test_bessel_order_type():
 
 @pytest.mark.parametrize("nu", [0.0, 0.7, 1.3, 3.0, 3.872, 7.0, 22.0])
 def test_regime_crossover_continuity(nu):
-    # at the series boundary the dispatched value must agree with the
-    # series route evaluated at the same point
-    x1 = 30.0
-    dispatched = log_bessel_i(nu, x1)
-    from_series = float(_log_i_series(nu, np.array([x1]))[0])
-    assert abs(math.expm1(dispatched - from_series)) <= 1e-9
-    # at the large-argument boundary compare against the scaled-Bessel
-    # route evaluated directly
-    x2 = max(30.0, 2.0 * nu * nu)
-    if x2 > 30.0:
-        dispatched = log_bessel_i(nu, x2)
-        from_ive = math.log(sp.ive(nu, x2)) + x2
-        assert abs(math.expm1(dispatched - from_ive)) <= 1e-9
+    # where the scaled library Bessel function is in range, the value
+    # log_bessel_i takes from it must agree with the log-space series
+    # (the fallback route) evaluated at the same point
+    for x in (30.0, max(30.0, 2.0 * nu * nu)):
+        dispatched = log_bessel_i(nu, x)
+        from_series = float(_log_i_series(nu, np.array([x]))[0])
+        assert abs(math.expm1(dispatched - from_series)) <= 1e-9
 
 
 def test_digamma_log_gamma_reference():
