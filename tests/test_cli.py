@@ -290,3 +290,13 @@ def test_missing_required_params():
     assert proc.returncode == 2
     proc = run_cli("entropy", "--dist", "chisq", "--k", "2", "--kind", "nosuch")
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the quadrature is the package's own; importing the CLI must not pay
+    # for scipy.integrate
+    code = "import sys, chientropy.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

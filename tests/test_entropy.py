@@ -232,3 +232,67 @@ def test_lambda_study_grid_validation():
         lambda_convergence_study(2.0, EntropySpec.shannon(), [1.0, -0.1])
     with pytest.raises(ValueError):
         lambda_convergence_study(2.0, EntropySpec.shannon(), [])
+
+
+# Laws on which the former split-point probe and absolute tolerance gave
+# silently wrong finite values (or, for the diagonal row, non-convergence
+# on an in-domain law).  Every reference is computed apart from
+# chientropy: the scipy.stats.ncx2 log-density integrated by the
+# benchmark oracle's own quadrature (bench/oracle.py: adaptive
+# Gauss-Legendre in log x, with the origin power law in closed form).
+# The Shannon row at lam = 6902.13, the Renyi-2 row and the Renyi-6 row
+# also agree to 2e-14 with a 30-digit mpmath integration of the Bessel
+# form of the density.
+FAULT_ROWS = [
+    # (k, lam, spec, reference); the probe-based quadrature gave the
+    # value in the comment
+    (4.0, 6902.128664695653, EntropySpec.shannon(), 6.531914510980539),  # 1.187e-27
+    (4.0, 6902.13, EntropySpec.renyi(2.0), 6.378488196672192),  # 139.725
+    (2.0, 695.0, EntropySpec.renyi(4.0), 5.114730530522977),  # 11.256
+    (10.0, 690.0, EntropySpec.renyi(4.0), 5.114012673800808),  # 11.531
+    (1.0706902129623854, 3.633256812200885,
+     EntropySpec.gen_renyi_diag(1.927381433734568), 0.8080047342182424),  # undefined
+    # f^2.8 ~ x^(0.02 - 1) at the origin; mpmath in log x, with the same
+    # closed-form origin piece, gives 2.99324108396991692
+    (1.3, 12.0, EntropySpec.gen_renyi_diag(2.8), 2.9932410839699224),  # undefined
+    # abs_tol = 1e-14 used to stop on a tiny int f^alpha whose relative
+    # error was still large
+    (1.854714700947459, 643.8487313043172,
+     EntropySpec.renyi(7.509661286084835), 5.0002337129590275),  # 7.3696
+    (4.0, 1e4, EntropySpec.renyi(6.0), 6.396456847508906),  # 6.39695
+]
+
+
+@pytest.mark.parametrize("k,lam,spec,ref", FAULT_ROWS,
+                         ids=[f"{r[2].kind.value}-k{r[0]:.3g}-lam{r[1]:.6g}"
+                              for r in FAULT_ROWS])
+def test_fault_rows_against_independent_references(k, lam, spec, ref):
+    res = entropy(NoncentralChiSq(k, lam), spec)
+    assert res.is_finite, res
+    # the reported error estimate bounds the true error, and is not vacuous
+    assert abs(res.value - ref) <= max(res.error_estimate, 1e-12), (res, ref)
+    assert res.error_estimate < 1e-9
+
+
+def test_error_estimates_bound_gamma_closed_forms():
+    # 40 random gamma laws through quadrature, all six functionals:
+    # the error estimate must cover the distance to the closed form
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(40):
+        shape = float(rng.uniform(0.55, 8.0))
+        scale = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        a = float(rng.uniform(0.3, 0.9) if rng.random() < 0.5 else rng.uniform(1.1, 4.0))
+        b = float(rng.uniform(1.1, 4.0) if a < 1.0 else rng.uniform(0.3, 0.9))
+        for spec in (EntropySpec.shannon(), EntropySpec.renyi(a),
+                     EntropySpec.gen_renyi(a, b), EntropySpec.gen_renyi_diag(a),
+                     EntropySpec.tsallis(a), EntropySpec.sharma_mittal(a, b)):
+            want = gamma_entropy_closed_form(shape, scale, spec)
+            got = entropy(GammaLaw(shape, scale), spec)
+            if want.is_undefined:
+                assert got.is_undefined and got.reason == want.reason
+                continue
+            assert abs(got.value - want.value) <= got.error_estimate + 1e-15, \
+                (shape, scale, spec, got, want.value)
+            checked += 1
+    assert checked > 200

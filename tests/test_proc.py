@@ -157,6 +157,25 @@ def test_cir_curve_noncentrality_near_underflow():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bessel_curve_large_noncentrality():
+    # At t = 1e-6 the marginal of (a, sigma, y0) = (1, 1, 1) has base law
+    # NC(4, 4e6), whose narrow peak the former split-point probe missed
+    # (the curve gave -15.2018).  Reference: the scipy.stats.ncx2 density
+    # of the marginal, -f log f integrated by scipy.integrate.quad over
+    # mean +- 40 standard deviations in eight panels.
+    marginal = st.ncx2(4.0, 4e6, scale=1e-6 / 4.0)
+    mean, sd = marginal.mean(), marginal.std()
+    edges = np.linspace(mean - 40.0 * sd, mean + 40.0 * sd, 9)
+    ref = sum(si.quad(lambda x: -marginal.pdf(x) * marginal.logpdf(x), lo, hi,
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    assert ref == pytest.approx(-5.4888166833, abs=1e-9)
+    (row,) = entropy_curve(BesselParams(1.0, 1.0, 1.0), TimeGrid((1e-6,)),
+                           EntropySpec.shannon())
+    assert row.result.is_finite, row.result
+    assert abs(row.result.value - ref) < 1e-8
+
+
 def test_cir_curve_rows():
     params = CIRParams(1.0, 1.0, 1.0, 1.0)
     rows = entropy_curve(params, TimeGrid((1.0, 5.0, 50.0)), EntropySpec.shannon())
