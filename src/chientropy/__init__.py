@@ -34,14 +34,7 @@ from .quad import (
     QuadResult,
     integrate_halfline,
 )
-from .specfun import (
-    BesselOrder,
-    bessel_i_bounds,
-    digamma,
-    gamma_log_integral,
-    log_bessel_i,
-    log_gamma,
-)
+from .specfun import digamma, log_bessel_i, log_gamma
 
 __version__ = "0.1.0"
 
@@ -56,7 +49,6 @@ __all__ = [
     "cir_limit_entropy", "bessel_limit_entropy", "b_to_zero_study",
     "QuadConfig", "QuadResult", "NonConvergence", "IntegrandFailure",
     "integrate_halfline",
-    "BesselOrder", "log_gamma", "digamma", "log_bessel_i",
-    "bessel_i_bounds", "gamma_log_integral",
+    "log_gamma", "digamma", "log_bessel_i",
     "__version__",
 ]

@@ -74,25 +74,22 @@ def _jnum(value, precision: int):
     return float(f"{v:.{precision}g}")
 
 
-def _emit_rows(rows: list[dict], fields: list[str], args) -> None:
+def _emit(data, fields: list[str], args) -> None:
+    """Write a record (a dict) or a table (a list of dicts) to stdout.
+
+    CSV prints a header and one line per row either way; JSON prints a
+    record as an object and a table as a list, even of one row.
+    """
+    table = isinstance(data, list)
+    rows = data if table else [data]
     if args.format == "json":
         out = [{k: _jnum(r.get(k), args.precision) for k in fields} for r in rows]
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
+        sys.stdout.write(json.dumps(out if table else out[0], indent=2) + "\n")
     else:
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(fields)
         for r in rows:
             w.writerow([_fmt(r.get(k), args.precision) for k in fields])
-
-
-def _emit_record(record: dict, fields: list[str], args) -> None:
-    if args.format == "json":
-        out = {k: _jnum(record.get(k), args.precision) for k in fields}
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(fields)
-        w.writerow([_fmt(record.get(k), args.precision) for k in fields])
 
 
 def _result_cells(res: EntropyResult) -> dict:
@@ -194,7 +191,7 @@ def cmd_entropy(args) -> int:
         "kind": args.kind, "alpha": args.alpha, "beta": args.beta,
     }
     record.update(_result_cells(res))
-    _emit_record(record, _ENTROPY_FIELDS, args)
+    _emit(record, _ENTROPY_FIELDS, args)
     return _exit_code(res)
 
 
@@ -230,7 +227,7 @@ def cmd_curve(args) -> int:
         # curve carries no finite limit row
         cells = _result_cells(cir_limit_entropy(params, spec))
         rows.append({"t": "limit", "state": cells["state"], "value": cells["value"]})
-    _emit_rows(rows, ["t", "state", "value"], args)
+    _emit(rows, ["t", "state", "value"], args)
     return 0
 
 
@@ -257,7 +254,7 @@ def cmd_study(args) -> int:
             rows.append({"b": row.b, "state": cells["state"],
                          "value": cells["value"], "gap": row.gap_to_bessel})
         fields = ["b", "state", "value", "gap"]
-    _emit_rows(rows, fields, args)
+    _emit(rows, fields, args)
     return 0
 
 
@@ -290,7 +287,7 @@ def cmd_limits(args) -> int:
               "sigma": args.sigma, "kind": args.kind,
               "alpha": args.alpha, "beta": args.beta}
     record.update(_result_cells(res))
-    _emit_record(record, _LIMITS_FIELDS, args)
+    _emit(record, _LIMITS_FIELDS, args)
     return _exit_code(res)
 
 
@@ -318,7 +315,7 @@ def cmd_validate(args) -> int:
               "quadrature": res.value, "mc_estimate": mc,
               "std_error": se, "z_score": z,
               "verdict": "pass" if ok else "fail"}
-    _emit_record(record, _VALIDATE_FIELDS, args)
+    _emit(record, _VALIDATE_FIELDS, args)
     return 0 if ok else 5
 
 

@@ -12,9 +12,8 @@ Four law types, all immutable value objects with ``log_pdf``:
 
 Noncentral evaluation goes through the log-Bessel routine, so the
 density is usable without overflow for x up to 1e8 and lam down to the
-underflow threshold.  ``pdf_mixture`` provides the independent route
-through the Poisson mixture of central laws, and ``pdf_log_bounds``
-gives strict elementary log-space bounds used for cross-checking.
+underflow threshold.  :func:`sample` draws exact variates, through the
+Poisson mixture of central laws for the noncentral law.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "GammaLaw",
     "ScaledLaw",
     "Law",
-    "pdf_mixture",
-    "pdf_log_bounds",
     "sample",
 ]
 
@@ -191,71 +188,6 @@ class ScaledLaw:
 
 
 Law = Union[CentralChiSq, NoncentralChiSq, GammaLaw, ScaledLaw]
-
-
-def pdf_mixture(law: NoncentralChiSq, x, tol: float = 1e-14):
-    """Noncentral density via its Poisson mixture of central laws.
-
-    f_{k,lam}(x) = sum_r e^(-lam/2) (lam/2)^r / r! * f_{k+2r}(x)
-
-    Slower than the Bessel form but independent of it; used as the
-    cross-check route.  Truncates once the accumulated Poisson weight
-    exceeds ``1 - tol``, the summation index has passed the weight
-    mode, and the last term contributed less than ``tol`` of the
-    partial sum at every evaluation point.  The weight condition alone
-    is not enough: deep in the right tail the late terms carry most of
-    the density even when their weights are already negligible.
-    """
-    if not isinstance(law, NoncentralChiSq):
-        raise ValueError("pdf_mixture expects a NoncentralChiSq law")
-    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    arr, scalar = _as_positive_x(x)
-    half = 0.5 * law.lam
-    out = np.zeros_like(arr)
-    log_w = -half  # Poisson(half) log weight at r = 0
-    cum = 0.0
-    r = 0
-    while True:
-        w = math.exp(log_w)
-        cum += w
-        contrib = w * np.exp(CentralChiSq(law.k + 2.0 * r).log_pdf(arr))
-        out += contrib
-        if half == 0.0:
-            break
-        if (cum >= 1.0 - tol and r >= half and r >= 1
-                and bool(np.all(contrib <= tol * out))):
-            break
-        r += 1
-        if r > 1_000_000:
-            raise RuntimeError("mixture truncation failed to terminate")
-        log_w += math.log(half) - math.log(r)
-    return _ret(out, scalar)
-
-
-def pdf_log_bounds(law: NoncentralChiSq, x):
-    """Strict log-space bounds on the noncentral density for ``k > 1``.
-
-    log_lower = -(x+lam)/2 + (k/2-1) log x - (k/2) log 2 - log Gamma(k/2)
-    log_upper = -x/4 + lam/2 + (k/2-1) log x - (k/2) log 2 - log Gamma(k/2)
-
-    Lower/upper come from the elementary Bessel bounds (order k/2-1,
-    which exceeds -1/2 exactly when k > 1) plus sqrt(lam x) <= lam + x/4
-    in the exponent.  Strict on the whole support when ``lam > 0``.
-    Returns ``(log_lower, log_upper)`` with the shape of ``x``.
-    """
-    if not isinstance(law, NoncentralChiSq):
-        raise ValueError("pdf_log_bounds expects a NoncentralChiSq law")
-    if law.k <= 1.0:
-        raise ValueError(f"pdf_log_bounds requires k > 1, got k = {law.k}")
-    if law.lam <= 0.0:
-        raise ValueError(f"pdf_log_bounds requires lam > 0, got lam = {law.lam}")
-    arr, scalar = _as_positive_x(x)
-    h = 0.5 * law.k
-    tail = (h - 1.0) * np.log(arr) - h * _LOG2 - log_gamma(h)
-    lower = -0.5 * (arr + law.lam) + tail
-    upper = -0.25 * arr + 0.5 * law.lam + tail
-    return _ret(lower, scalar), _ret(upper, scalar)
 
 
 def _draw(law: Law, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -9,6 +9,15 @@ Six functionals of a density f, parametrized by positive orders:
 * Tsallis            T_alpha = (int f^alpha - 1) / (1 - alpha)
 * Sharma-Mittal      S_{alpha,beta} = ((int f^alpha)^((1-beta)/(1-alpha)) - 1) / (1 - beta)
 
+Since int f = 1, they are three functionals (Nielsen & Nock, J. Phys. A
+45, 2012), and every route evaluates only those three:
+
+* Renyi is generalized Renyi at beta = 1:   H_alpha = H_{alpha,1};
+* Shannon is the diagonal at alpha = 1:     H = H_{1,1};
+* Tsallis is Sharma-Mittal at beta = alpha: T_alpha = S_{alpha,alpha}.
+
+An order-1 power integral is never computed: it is 1 exactly.
+
 Every evaluation is gated on the existence condition for this family:
 the effective degrees of freedom must exceed 1, and each order a used
 in an integral int f^a must satisfy k > 2 - 2/a, otherwise the defining
@@ -257,6 +266,7 @@ def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
 def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     """int f^a ("power") or int f^a log f ("log") for each ``(a, kind)`` row.
 
+    A power row of order 1 is int f = 1 exactly and is never integrated.
     One ``law.log_pdf`` call per quadrature level feeds every row.  On
     (0, x0) every density of the family is C x^p with p = k/2 - 1 to a
     relative 1e-17: for a law c NC(k, lam) the first correction term is
@@ -281,7 +291,8 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     x0 = 1e-17 * k * (var / mean) * (var / mean / mean) / 8.0
     log_x0 = math.log(x0)
     log_c = law.log_pdf(x0) - p * log_x0
-    all_rows = list(rows) + [(a, "slope") for a, kind in rows if kind == "log"]
+    todo = [row for row in rows if row != (1.0, "power")]
+    all_rows = todo + [(a, "slope") for a, kind in todo if kind == "log"]
 
     def origin(a, kind):
         q = a * p + 1.0
@@ -311,25 +322,60 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     res = integrate_rows(g, x0, centre, math.sqrt(var), cfg,
                          offset=[origin(a, kind) for a, kind in all_rows])
     d = 8.0 * _EPS * (1.0 + mean * mean / var + 0.5 * k * abs(math.log(mean)))
-    slopes = iter(res[len(rows):])
-    return [replace(r, error_estimate=r.error_estimate + d * (
-                next(slopes).value if kind == "log" else a * abs(r.value)))
-            for (a, kind), r in zip(rows, res)]
+    slopes = iter(res[len(todo):])
+    done = iter([replace(r, error_estimate=r.error_estimate + d * (
+                     next(slopes).value if kind == "log" else a * abs(r.value)))
+                 for (a, kind), r in zip(todo, res)])
+    return [QuadResult(1.0, 0.0, 0, True) if row == (1.0, "power") else next(done)
+            for row in rows]
 
 
-def _parameter_exclusion(spec: EntropySpec) -> str | None:
-    """Detail string if the order parameters hit a removable singularity."""
-    a, b = spec.alpha, spec.beta
-    if spec.kind in (EntropyKind.RENYI, EntropyKind.TSALLIS) and abs(a - 1.0) < _PARAM_EPS:
-        return f"alpha = {a} too close to 1"
-    if spec.kind is EntropyKind.SHARMA_MITTAL:
-        if abs(a - 1.0) < _PARAM_EPS:
-            return f"alpha = {a} too close to 1"
-        if abs(b - 1.0) < _PARAM_EPS:
-            return f"beta = {b} too close to 1"
-    if spec.kind is EntropyKind.GEN_RENYI and abs(a - b) < _PARAM_EPS:
-        return f"alpha = {a} and beta = {b} too close together"
-    return None
+def _family(spec: EntropySpec) -> tuple[EntropyKind, float, float]:
+    """The functional ``spec`` evaluates, as (kind, alpha, beta).
+
+    The kind is GEN_RENYI, GEN_RENYI_DIAG (with beta = alpha) or
+    SHARMA_MITTAL: Renyi is generalized Renyi at beta = 1, Shannon the
+    diagonal at alpha = 1 and Tsallis Sharma-Mittal at beta = alpha.
+    """
+    kind, a, b = spec.kind, spec.alpha, spec.beta
+    if kind is EntropyKind.SHANNON:
+        return EntropyKind.GEN_RENYI_DIAG, 1.0, 1.0
+    if kind is EntropyKind.RENYI:
+        return EntropyKind.GEN_RENYI, a, 1.0
+    if kind is EntropyKind.TSALLIS:
+        return EntropyKind.SHARMA_MITTAL, a, a
+    return kind, a, a if b is None else b
+
+
+def _excluded(family: EntropyKind, a: float, b: float) -> bool:
+    """True on a removable singularity of the family's defining quotient."""
+    if family is EntropyKind.GEN_RENYI:
+        return abs(a - b) < _PARAM_EPS
+    if family is EntropyKind.SHARMA_MITTAL:
+        return abs(a - 1.0) < _PARAM_EPS or abs(b - 1.0) < _PARAM_EPS
+    return False
+
+
+def _assemble(family: EntropyKind, a: float, b: float, u: tuple,
+              v: tuple = (0.0, 0.0)) -> EntropyResult:
+    """The entropy of ``family`` at orders (a, b) as a finite result.
+
+    ``u`` is (log int f^a, its error estimate) and ``v`` the same for
+    order b, which only generalized Renyi reads; on the diagonal ``u``
+    holds the entropy itself.  An error estimate of None marks an exact
+    input.
+    """
+    (lu, du), (lv, dv) = u, v
+    if family is EntropyKind.GEN_RENYI_DIAG:
+        return EntropyResult.finite(lu, du)
+    if family is EntropyKind.GEN_RENYI:
+        value = (lu - lv) / (b - a)
+        err = None if du is None else (du + dv) / abs(b - a)
+    else:
+        expo = (1.0 - b) / (1.0 - a)
+        value = math.expm1(expo * lu) / (1.0 - b)
+        err = None if du is None else abs(expo) * math.exp(expo * lu) * du / abs(1.0 - b)
+    return EntropyResult.finite(value, err)
 
 
 def entropy(law: Law, spec: EntropySpec,
@@ -346,66 +392,33 @@ def entropy(law: Law, spec: EntropySpec,
         base = entropy(law.base, spec, config)
         return scale_transform(base, spec, law.factor)
 
-    if _parameter_exclusion(spec) is not None:
+    family, a, b = _family(spec)
+    if _excluded(family, a, b):
         return EntropyResult.undefined(REASON_PARAMETER)
     if not existence_gate(effective_dof(law), spec):
         return EntropyResult.undefined(REASON_GATE)
 
     try:
-        return _entropy_quadrature(law, spec, config)
+        return _entropy_quadrature(law, family, a, b, config)
     except NonConvergence:
         return EntropyResult.undefined(REASON_NONCONVERGENCE)
 
 
-def _entropy_quadrature(law: Law, spec: EntropySpec,
+def _entropy_quadrature(law: Law, family: EntropyKind, a: float, b: float,
                         config: QuadConfig | None) -> EntropyResult:
-    kind = spec.kind
-    if kind is EntropyKind.SHANNON:
-        (r,) = _integrals(law, [(1.0, "log")], config)
-        return EntropyResult.finite(-r.value, r.error_estimate)
-
-    a = spec.alpha
-    if kind in (EntropyKind.RENYI, EntropyKind.TSALLIS, EntropyKind.SHARMA_MITTAL):
-        (ra,) = _integrals(law, [(a, "power")], config)
-        if ra.value <= 0.0:
-            return EntropyResult.undefined(REASON_NONCONVERGENCE)
-        if kind is EntropyKind.RENYI:
-            value = math.log(ra.value) / (1.0 - a)
-            err = ra.error_estimate / (abs(1.0 - a) * ra.value)
-        elif kind is EntropyKind.TSALLIS:
-            value = (ra.value - 1.0) / (1.0 - a)
-            err = ra.error_estimate / abs(1.0 - a)
-        else:
-            expo = (1.0 - spec.beta) / (1.0 - a)
-            value = math.expm1(expo * math.log(ra.value)) / (1.0 - spec.beta)
-            deriv = abs(expo) * math.exp((expo - 1.0) * math.log(ra.value))
-            err = deriv * ra.error_estimate / abs(1.0 - spec.beta)
-        return EntropyResult.finite(value, err)
-
-    if kind is EntropyKind.GEN_RENYI:
-        b = spec.beta
-        ra, rb = _integrals(law, [(a, "power"), (b, "power")], config)
-        if ra.value <= 0.0 or rb.value <= 0.0:
-            return EntropyResult.undefined(REASON_NONCONVERGENCE)
-        value = (math.log(ra.value) - math.log(rb.value)) / (b - a)
-        err = (ra.error_estimate / ra.value + rb.error_estimate / rb.value) / abs(b - a)
-        return EntropyResult.finite(value, err)
-
-    if kind is EntropyKind.GEN_RENYI_DIAG:
+    if family is EntropyKind.GEN_RENYI_DIAG:
         num, den = _integrals(law, [(a, "log"), (a, "power")], config)
         if den.value <= 0.0:
             return EntropyResult.undefined(REASON_NONCONVERGENCE)
-        value = -num.value / den.value
         err = (num.error_estimate
                + abs(num.value) * den.error_estimate / den.value) / den.value
-        return EntropyResult.finite(value, err)
-
-    raise ValueError(f"unhandled kind {kind!r}")
-
-
-def _power_expm1(log_c: float, one_minus_order: float) -> float:
-    """(C^p - 1) / p with p = one_minus_order, accurate for C near 1."""
-    return math.expm1(one_minus_order * log_c) / one_minus_order
+        return _assemble(family, a, b, (-num.value / den.value, err))
+    orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
+    res = _integrals(law, [(o, "power") for o in orders], config)
+    if any(r.value <= 0.0 for r in res):
+        return EntropyResult.undefined(REASON_NONCONVERGENCE)
+    return _assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
+                                     for r in res])
 
 
 def scale_transform(base_result: EntropyResult, spec: EntropySpec,
@@ -425,22 +438,15 @@ def scale_transform(base_result: EntropyResult, spec: EntropySpec,
         return base_result
 
     log_c = math.log(c)
-    kind = spec.kind
-    if kind in (EntropyKind.SHANNON, EntropyKind.RENYI,
-                EntropyKind.GEN_RENYI, EntropyKind.GEN_RENYI_DIAG):
+    family, _, b = _family(spec)
+    if family is not EntropyKind.SHARMA_MITTAL:
         return EntropyResult.finite(base_result.value + log_c,
                                     base_result.error_estimate)
-
-    if kind is EntropyKind.TSALLIS:
-        p = 1.0 - spec.alpha
-    elif kind is EntropyKind.SHARMA_MITTAL:
-        p = 1.0 - spec.beta
-    else:
-        raise ValueError(f"unhandled kind {kind!r}")
+    p = 1.0 - b
     if abs(p) < _PARAM_EPS:
         return EntropyResult.undefined(REASON_PARAMETER)
     slope = math.exp(p * log_c)
-    value = slope * base_result.value + _power_expm1(log_c, p)
+    value = slope * base_result.value + math.expm1(p * log_c) / p
     err = None if base_result.error_estimate is None else slope * base_result.error_estimate
     return EntropyResult.finite(value, err)
 
@@ -448,7 +454,8 @@ def scale_transform(base_result: EntropyResult, spec: EntropySpec,
 def _gamma_log_integral_moment(shape: float, scale: float, a: float) -> float:
     """log int f^a for a GammaLaw f, valid when a (shape-1) + 1 > 0.
 
-    int f^a = Gamma(a(s-1)+1) / (Gamma(s)^a a^(a(s-1)+1) theta^(a-1))
+    int f^a = Gamma(a(s-1)+1) / (Gamma(s)^a a^(a(s-1)+1) theta^(a-1)),
+    and 0 exactly at a = 1 for shape > 1/2, where a(s-1)+1 is s.
     """
     g = a * (shape - 1.0) + 1.0
     return (log_gamma(g) - a * log_gamma(shape)
@@ -470,40 +477,22 @@ def gamma_entropy_closed_form(shape: float, scale: float,
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
 
-    if _parameter_exclusion(spec) is not None:
+    family, a, b = _family(spec)
+    if _excluded(family, a, b):
         return EntropyResult.undefined(REASON_PARAMETER)
     if not existence_gate(2.0 * s, spec):
         return EntropyResult.undefined(REASON_GATE)
 
-    kind = spec.kind
-    if kind is EntropyKind.SHANNON:
-        value = math.log(theta) + log_gamma(s) + s + (1.0 - s) * digamma(s)
-        return EntropyResult.finite(value)
-
-    a = spec.alpha
-    if kind is EntropyKind.RENYI:
-        return EntropyResult.finite(
-            _gamma_log_integral_moment(s, theta, a) / (1.0 - a))
-    if kind is EntropyKind.GEN_RENYI:
-        b = spec.beta
-        la = _gamma_log_integral_moment(s, theta, a)
-        lb = _gamma_log_integral_moment(s, theta, b)
-        return EntropyResult.finite((la - lb) / (b - a))
-    if kind is EntropyKind.GEN_RENYI_DIAG:
+    if family is EntropyKind.GEN_RENYI_DIAG:
+        # at a = 1 this is the Shannon entropy term for term: the gate
+        # keeps s > 1/2, where s - 1, 1 + (s - 1) and g are exact
         g = a * (s - 1.0) + 1.0
-        value = (math.log(theta) + log_gamma(s)
-                 + (s - 1.0) * (math.log(a) - digamma(g))
-                 + (s - 1.0) + 1.0 / a)
-        return EntropyResult.finite(value)
-    if kind is EntropyKind.TSALLIS:
-        return EntropyResult.finite(
-            math.expm1(_gamma_log_integral_moment(s, theta, a)) / (1.0 - a))
-    if kind is EntropyKind.SHARMA_MITTAL:
-        b = spec.beta
-        la = _gamma_log_integral_moment(s, theta, a)
-        return EntropyResult.finite(
-            math.expm1(la * (1.0 - b) / (1.0 - a)) / (1.0 - b))
-    raise ValueError(f"unhandled kind {kind!r}")
+        value = (math.log(theta) + log_gamma(s) + (1.0 / a + (s - 1.0))
+                 + (1.0 - s) * (digamma(g) - math.log(a)))
+        return _assemble(family, a, b, (value, None))
+    orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
+    return _assemble(family, a, b, *[(_gamma_log_integral_moment(s, theta, o), None)
+                                     for o in orders])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
-    _parameter_exclusion,
+    _excluded,
+    _family,
     entropy,
     gamma_entropy_closed_form,
 )
@@ -188,17 +189,11 @@ def bessel_limit_entropy(spec: EntropySpec) -> EntropyResult:
     scaling map sends them to +inf as well.  Independent of the process
     parameters (they only set the speed of divergence).
     """
-    if _parameter_exclusion(spec) is not None:
+    family, a, b = _family(spec)
+    if _excluded(family, a, b):
         return EntropyResult.undefined(REASON_PARAMETER)
-    kind = spec.kind
-    if kind is EntropyKind.TSALLIS:
-        if spec.alpha > 1.0:
-            return EntropyResult.finite(1.0 / (spec.alpha - 1.0))
-        return EntropyResult.infinite()
-    if kind is EntropyKind.SHARMA_MITTAL:
-        if spec.beta > 1.0:
-            return EntropyResult.finite(1.0 / (spec.beta - 1.0))
-        return EntropyResult.infinite()
+    if family is EntropyKind.SHARMA_MITTAL and b > 1.0:
+        return EntropyResult.finite(1.0 / (b - 1.0))
     return EntropyResult.infinite()
 
 

@@ -120,7 +120,8 @@ class QuadConfig:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if int(self.max_subdivisions) < 2 or self.max_subdivisions != int(self.max_subdivisions):
+        m = self.max_subdivisions
+        if not (math.isfinite(m) and m == int(m) and m >= 2):
             raise ValueError(f"max_subdivisions must be an integer >= 2, got {self.max_subdivisions}")
         if self.split_point is not None:
             if not (math.isfinite(self.split_point) and self.split_point > 0.0):

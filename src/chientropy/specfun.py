@@ -6,29 +6,23 @@ family involve ``Gamma``, ``psi`` and the modified Bessel function
 that arguments like ``x = 1e8`` or orders like ``nu = 100`` do not
 overflow.  The log-Bessel evaluation has one route,
 ``log(ive(nu, x)) + x`` with the exponentially scaled library Bessel
-function, and one fallback where ``ive`` underflows (large order at
-small argument): the power series summed term by term in log space.
-
-Also provided: two-sided elementary bounds on ``I_nu`` valid for
-``nu > -1/2``, and the closed form of the gamma-weighted logarithmic
-integral ``int_0^inf x^(nu-1) exp(-mu x) log(x) dx``.
+function, and two fallbacks where ``ive`` fails: the power series
+summed term by term in log space where it underflows (large order at
+small argument), and the large-argument Hankel expansion where it
+returns NaN (arguments above about 1.07e9).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "BesselOrder",
     "log_gamma",
     "digamma",
     "log_bessel_i",
-    "bessel_i_bounds",
-    "gamma_log_integral",
 ]
 
 # Term cap of the log-space series; enough for every order up to about
@@ -40,33 +34,6 @@ _TINY = np.finfo(float).tiny
 
 # Relative tail size at which a series is considered converged.
 _TERM_EPS = 1e-17
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Validated order ``nu`` of a modified Bessel function ``I_nu``.
-
-    The library Bessel function and the power series are valid for any
-    ``nu > -1``.  The elementary two-sided bounds additionally require
-    ``nu > -1/2``; that stricter check lives in :func:`bessel_i_bounds`.
-    """
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        nu = float(self.nu)
-        if not math.isfinite(nu) or nu <= -1.0:
-            raise ValueError(f"Bessel order must satisfy nu > -1, got {self.nu}")
-        object.__setattr__(self, "nu", nu)
-
-
-def _order_value(nu: float | BesselOrder) -> float:
-    if isinstance(nu, BesselOrder):
-        return nu.nu
-    nu = float(nu)
-    if not math.isfinite(nu) or nu <= -1.0:
-        raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
-    return nu
 
 
 def log_gamma(x):
@@ -115,7 +82,32 @@ def _log_i_series(nu: float, x: np.ndarray) -> np.ndarray:
         f"{_SERIES_MAX_TERMS} terms at x up to {float(np.max(x))}")
 
 
-def log_bessel_i(nu: float | BesselOrder, x):
+def _log_i_hankel(nu: float, x: np.ndarray) -> np.ndarray:
+    """Large-argument expansion (DLMF 10.40.1) of log I_nu(x).
+
+    I_nu(x) ~ e^x (2 pi x)^(-1/2) sum(k) t_k with t_0 = 1 and
+    t_k = -t_(k-1) (4 nu^2 - (2k-1)^2) / (8 k x).  The sum stops once a
+    term falls below _TERM_EPS of the total; raises ``ValueError`` if
+    the terms stop shrinking first (nu^2 comparable to x), where the
+    expansion cannot give I_nu to double precision.
+    """
+    mu = 4.0 * nu * nu
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, _SERIES_MAX_TERMS):
+        nxt = -term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+        if np.any(np.abs(nxt) >= np.abs(term)):
+            break
+        term = nxt
+        total += term
+        if np.all(np.abs(term) < _TERM_EPS * np.abs(total)):
+            return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
+    raise ValueError(
+        f"log_bessel_i large-argument expansion for nu = {nu} did not "
+        f"converge at x down to {float(np.min(x))}")
+
+
+def log_bessel_i(nu: float, x):
     """log I_nu(x) for nu > -1 and x >= 0, scalar or array.
 
     Computed as ``log(ive(nu, x)) + x`` from the exponentially scaled
@@ -124,16 +116,22 @@ def log_bessel_i(nu: float | BesselOrder, x):
     positive normal float (large order at small argument, where I_nu
     is below ``e^x * tiny``) the power series (DLMF 10.25.2) summed in
     log space takes over; it raises ``ValueError`` if it needs more
-    than its term cap.
+    than its term cap.  Where ``ive`` returns NaN (``x`` above about
+    1.07e9, the range limit of the library) the Hankel expansion
+    (DLMF 10.40.1) takes over; it raises ``ValueError`` where its terms
+    stop shrinking, which needs ``nu^2 > 2 x``.
 
     At ``x = 0`` the value is 0 for ``nu = 0`` and ``-inf`` for
     ``nu > 0``; for ``-1 < nu < 0`` the function diverges at the origin
     and ``x = 0`` is rejected.
 
     Accuracy: within 1e-12 of mpmath, absolute on ``log I``, over
-    ``nu in [-0.95, 100], x in [1e-8, 1e8]``.
+    ``nu in [-0.95, 100], x in [1e-8, 1e8]``; within 2.2e-16 relative
+    over ``nu in [-0.499, 5000], x in [1.1e9, 1e18]``.
     """
-    order = _order_value(nu)
+    order = float(nu)
+    if not math.isfinite(order) or order <= -1.0:
+        raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(float)
@@ -148,42 +146,9 @@ def log_bessel_i(nu: float | BesselOrder, x):
     out[normal] = np.log(scaled[normal]) + arr[normal]
     low = ~normal & (arr > 0.0)
     if np.any(low):
-        out[low] = _log_i_series(order, arr[low])
+        beyond = np.isnan(scaled)  # past the library's range
+        for part, fallback in ((low & ~beyond, _log_i_series), (beyond, _log_i_hankel)):
+            if np.any(part):
+                out[part] = fallback(order, arr[part])
 
     return float(out[0]) if scalar else out
-
-
-def bessel_i_bounds(nu: float | BesselOrder, x: float) -> tuple[float, float]:
-    """Two-sided elementary bounds on I_nu(x) for nu > -1/2, x > 0.
-
-    (x/2)^nu / Gamma(nu+1) < I_nu(x) < (x/2)^nu e^x / Gamma(nu+1)
-
-    Both bounds are strict for ``x > 0``.  They are computed in log
-    space and exponentiated, so the lower bound keeps full relative
-    accuracy even where the density is tiny; the upper bound may
-    overflow to ``inf`` for very large ``x``, which is still a valid
-    upper bound.
-    """
-    order = _order_value(nu)
-    if order <= -0.5:
-        raise ValueError(f"bessel_i_bounds requires nu > -1/2, got {order}")
-    xf = float(x)
-    if not math.isfinite(xf) or xf <= 0.0:
-        raise ValueError("bessel_i_bounds requires finite x > 0")
-    log_lower = order * math.log(0.5 * xf) - _sp.gammaln(order + 1.0)
-    return math.exp(log_lower), math.exp(min(log_lower + xf, 709.7))
-
-
-def gamma_log_integral(nu: float, mu: float) -> float:
-    """int_0^inf x^(nu-1) e^(-mu x) log(x) dx for nu > 0, mu > 0.
-
-    Closed form: mu^(-nu) Gamma(nu) (psi(nu) - log mu).  The integral
-    exists exactly under the stated parameter constraints; anything else
-    is rejected.
-    """
-    nuf, muf = float(nu), float(mu)
-    if not (math.isfinite(nuf) and nuf > 0.0):
-        raise ValueError(f"gamma_log_integral requires nu > 0, got {nu}")
-    if not (math.isfinite(muf) and muf > 0.0):
-        raise ValueError(f"gamma_log_integral requires mu > 0, got {mu}")
-    return math.exp(_sp.gammaln(nuf) - nuf * math.log(muf)) * (_sp.psi(nuf) - math.log(muf))

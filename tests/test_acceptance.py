@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from chientropy.dist import CentralChiSq, NoncentralChiSq, ScaledLaw, pdf_log_bounds
+from chientropy.dist import CentralChiSq, NoncentralChiSq, ScaledLaw
 from chientropy.entropy import (
     REASON_GATE,
     EntropySpec,
@@ -22,7 +22,8 @@ from chientropy.entropy import (
 )
 from chientropy.proc import BesselParams, CIRParams, b_to_zero_study, bessel_marginal, cir_marginal, cir_limit_entropy
 from chientropy.quad import NonConvergence, QuadConfig, integrate_halfline
-from chientropy.specfun import bessel_i_bounds, gamma_log_integral, log_bessel_i
+from chientropy.specfun import log_bessel_i
+from support import bessel_i_bounds, gamma_log_integral, pdf_log_bounds
 
 
 def _report(num: int, name: str, ok: bool) -> bool:

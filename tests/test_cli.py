@@ -78,6 +78,19 @@ def test_premapped_route_matches_process_route():
     assert float(row["value"]) == pytest.approx(float(t_row["value"]), rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", [("shannon",), ("tsallis", "--alpha", "2")])
+def test_scaled_direct_matches_scaling_identity(kind):
+    # --scaled-direct integrates the density of C X itself instead of
+    # mapping the entropy of X through the scaling identity
+    args = ("entropy", "--dist", "ncchisq", "--k", "4", "--lambda", "4",
+            "--scale-factor", "7", "--kind", *kind)
+    mapped = run_cli(*args)
+    direct = run_cli(*args, "--scaled-direct")
+    assert mapped.returncode == 0 and direct.returncode == 0, direct.stderr
+    (m_row,), (d_row,) = parse_csv(mapped.stdout), parse_csv(direct.stdout)
+    assert float(d_row["value"]) == pytest.approx(float(m_row["value"]), rel=1e-8)
+
+
 def test_limits_bessel_infinite():
     proc = run_cli("limits", "--process", "bessel", "--kind", "shannon")
     assert proc.returncode == 4
@@ -137,6 +150,27 @@ def test_curve_bessel_has_no_limit_row():
     assert proc.returncode == 0
     rows = parse_csv(proc.stdout)
     assert [r["t"] for r in rows] == ["1", "2"]
+    # a table stays a JSON list even when it has one row
+    proc = run_cli("--format", "json", "curve", "--process", "bessel", "--a", "1",
+                   "--sigma", "1", "--y0", "1", "--times", "1", "--kind", "shannon")
+    assert proc.returncode == 0
+    table = json.loads(proc.stdout)
+    assert isinstance(table, list) and len(table) == 1
+    assert table[0]["t"] == 1 and table[0]["state"] == "finite"
+
+
+def test_noncentrality_beyond_library_bessel_range():
+    # lambda = 2e7 needs log I at arguments above 1.07e9, where the
+    # library Bessel function returns NaN; it used to be a usage error
+    proc = run_cli("entropy", "--dist", "ncchisq", "--k", "4",
+                   "--lambda", "2e7", "--kind", "shannon")
+    assert proc.returncode == 0, proc.stderr
+    assert float(parse_csv(proc.stdout)[0]["value"]) == pytest.approx(
+        10.517707142, rel=1e-9)
+    proc = run_cli("curve", "--process", "bessel", "--a", "1", "--sigma", "1",
+                   "--y0", "1", "--times", "2e-7", "--kind", "shannon")
+    assert proc.returncode == 0, proc.stderr
+    assert parse_csv(proc.stdout)[0]["state"] == "finite"
 
 
 def test_curve_empty_grid_usage_error():

@@ -13,11 +13,10 @@ from chientropy.dist import (
     GammaLaw,
     NoncentralChiSq,
     ScaledLaw,
-    pdf_log_bounds,
-    pdf_mixture,
     sample,
 )
 from chientropy.quad import integrate_halfline
+from support import pdf_log_bounds, pdf_mixture
 
 # mpmath references at 40 significant digits: (k, lambda, x, log_pdf)
 NCX2_REFERENCE = [

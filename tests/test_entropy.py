@@ -296,3 +296,36 @@ def test_error_estimates_bound_gamma_closed_forms():
                 (shape, scale, spec, got, want.value)
             checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.75, 2.0, 3.3])
+def test_family_identities_bit_for_bit(alpha):
+    # with int f = 1, Renyi is generalized Renyi at beta = 1, Shannon the
+    # diagonal at alpha = 1 and Tsallis Sharma-Mittal at beta = alpha;
+    # every route evaluates both sides of each pair identically
+    pairs = [(EntropySpec.renyi(alpha), EntropySpec.gen_renyi(alpha, 1.0)),
+             (EntropySpec.shannon(), EntropySpec.gen_renyi_diag(1.0)),
+             (EntropySpec.tsallis(alpha), EntropySpec.sharma_mittal(alpha, alpha))]
+    laws = [NoncentralChiSq(3.0, 5.0), CentralChiSq(2.5), GammaLaw(1.7, 0.6),
+            ScaledLaw(NoncentralChiSq(4.0, 2.0), 3.5)]
+    for named, general in pairs:
+        for law in laws:
+            assert entropy(law, named) == entropy(law, general), (law, named)
+        assert entropy(laws[3], named, scaled_direct=True) == \
+            entropy(laws[3], general, scaled_direct=True), named
+        assert gamma_entropy_closed_form(1.7, 0.6, named) == \
+            gamma_entropy_closed_form(1.7, 0.6, general), named
+
+
+def test_noncentral_beyond_library_bessel_range():
+    # the far nodes of NC(4, 2e7) need I_1 at arguments above 1.07e9,
+    # where scipy's ive returns NaN; a 40-digit mpmath integration of
+    # -f log f for the Bessel form of the density over mean +- 40 s.d.
+    # gives 10.517707142023751069
+    res = entropy(NoncentralChiSq(4.0, 2e7), EntropySpec.shannon())
+    assert res.is_finite, res
+    assert abs(res.value - 10.517707142023751069) <= res.error_estimate < 1e-6
+    # further out the log-density rounding defeats the tolerance: an
+    # explicit undefined, not an exception
+    res = entropy(NoncentralChiSq(4.0, 1e8), EntropySpec.shannon())
+    assert res.is_undefined and res.reason == "non-convergence"

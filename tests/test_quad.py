@@ -12,7 +12,8 @@ from chientropy.quad import (
     QuadConfig,
     integrate_halfline,
 )
-from chientropy.specfun import gamma_log_integral, log_gamma
+from chientropy.specfun import log_gamma
+from support import gamma_log_integral
 
 NU_GRID = [0.3, 1.0, 2.5, 7.0]
 MU_GRID = [0.25, 1.0, 3.0]
@@ -112,6 +113,8 @@ def test_config_validation():
         QuadConfig(abs_tol=-1e-3)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
+    with pytest.raises(ValueError):
+        QuadConfig(max_subdivisions=float("inf"))
     with pytest.raises(ValueError):
         QuadConfig(split_point=-2.0)
 
