@@ -155,18 +155,21 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
+def _require(args, what: str, *flags: str) -> None:
+    """Usage error "<what> requires --f1 and --f2" unless every flag is set."""
+    if any(getattr(args, f) is None for f in flags):
+        raise ValueError(f"{what} requires " + " and ".join("--" + f for f in flags))
+
+
 def _build_law(args) -> dist.Law:
     if args.dist == "chisq":
-        if args.k is None:
-            raise ValueError("--dist chisq requires --k")
+        _require(args, "--dist chisq", "k")
         law = dist.CentralChiSq(args.k)
     elif args.dist == "ncchisq":
-        if args.k is None or args.lam is None:
-            raise ValueError("--dist ncchisq requires --k and --lam")
+        _require(args, "--dist ncchisq", "k", "lam")
         law = dist.NoncentralChiSq(args.k, args.lam)
     elif args.dist == "gamma":
-        if args.shape is None or args.scale is None:
-            raise ValueError("--dist gamma requires --shape and --scale")
+        _require(args, "--dist gamma", "shape", "scale")
         law = dist.GammaLaw(args.shape, args.scale)
     else:
         raise ValueError(f"unknown dist {args.dist!r}")
@@ -197,18 +200,12 @@ def cmd_entropy(args) -> int:
 
 def _process_params(args):
     if args.process == "cir":
-        for name in ("a", "b", "sigma"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--process cir requires --{name}")
-        if args.r0 is None:
-            raise ValueError("--process cir requires --r0")
+        for name in ("a", "b", "sigma", "r0"):
+            _require(args, "--process cir", name)
         return CIRParams(args.a, args.b, args.sigma, args.r0)
     if args.process == "bessel":
-        for name in ("a", "sigma"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--process bessel requires --{name}")
-        if args.y0 is None:
-            raise ValueError("--process bessel requires --y0")
+        for name in ("a", "sigma", "y0"):
+            _require(args, "--process bessel", name)
         return BesselParams(args.a, args.sigma, args.y0)
     raise ValueError(f"unknown process {args.process!r}")
 
@@ -237,8 +234,7 @@ def cmd_study(args) -> int:
     grid = _parse_grid(args.grid, "--grid")
     rows = []
     if args.which == "lambda-to-zero":
-        if args.k is None:
-            raise ValueError("study lambda-to-zero requires --k")
+        _require(args, "study lambda-to-zero", "k")
         for row in lambda_convergence_study(args.k, spec, grid, cfg):
             cells = _result_cells(row.result)
             rows.append({"lambda": row.lam, "state": cells["state"],
@@ -246,8 +242,7 @@ def cmd_study(args) -> int:
         fields = ["lambda", "state", "value", "gap"]
     else:  # b-to-zero
         for name in ("a", "sigma", "r0", "t"):
-            if getattr(args, name) is None:
-                raise ValueError(f"study b-to-zero requires --{name}")
+            _require(args, "study b-to-zero", name)
         for row in b_to_zero_study(args.a, args.sigma, args.r0, args.t,
                                    grid, spec, cfg):
             cells = _result_cells(row.result)
@@ -266,8 +261,7 @@ def cmd_limits(args) -> int:
     spec = _entropy_spec(args)
     if args.process == "cir":
         for name in ("a", "b", "sigma"):
-            if getattr(args, name) is None:
-                raise ValueError(f"limits --process cir requires --{name}")
+            _require(args, "limits --process cir", name)
         # r0 does not enter the stationary law; accept and ignore
         res = cir_limit_entropy(CIRParams(args.a, args.b, args.sigma,
                                           args.r0 if args.r0 is not None else 1.0),
@@ -296,8 +290,7 @@ _VALIDATE_FIELDS = ["k", "lam", "n", "seed", "quadrature", "mc_estimate",
 
 
 def cmd_validate(args) -> int:
-    if args.k is None or args.lam is None:
-        raise ValueError("validate requires --k and --lam")
+    _require(args, "validate", "k", "lam")
     if args.n < 1000:
         raise ValueError(f"validate requires --n >= 1000, got {args.n}")
     law = dist.NoncentralChiSq(args.k, args.lam)
@@ -374,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-factor", type=float, default=None,
                    help="evaluate the law of C*X instead of X")
     p.add_argument("--scaled-direct", action="store_true",
-                   help="quadrature against the scaled density instead of "
-                        "the scaling identities")
+                   help="quadrature against the law's own density instead of "
+                        "the closed form or the scaling identities")
     _add_kind_options(p)
     p.set_defaults(func=cmd_entropy)
 

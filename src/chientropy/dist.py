@@ -1,6 +1,6 @@
 """Chi-squared family laws on the positive half line.
 
-Four law types, all immutable value objects with ``log_pdf``:
+Four law types, all immutable value objects:
 
 * :class:`CentralChiSq`: k degrees of freedom, density
   x^(k/2-1) e^(-x/2) / (2^(k/2) Gamma(k/2));
@@ -9,6 +9,11 @@ Four law types, all immutable value objects with ``log_pdf``:
 * :class:`GammaLaw`: shape/scale parametrization,
   x^(s-1) e^(-x/theta) / (Gamma(s) theta^s);
 * :class:`ScaledLaw`: the law of C*X for a base law X and C > 0.
+
+Each is the law of c * NC(k, lam) for a triple (k, lam, c), in the same
+order: (k, 0, 1), (k, lam, 1), (2 s, 0, theta/2) and the base law's
+triple with c times C.  One implementation of ``mean``, ``variance``,
+``log_pdf``, ``pdf`` and :func:`sample` reads that triple.
 
 Noncentral evaluation goes through the log-Bessel routine, so the
 density is usable without overflow for x up to 1e8 and lam down to the
@@ -59,8 +64,51 @@ def _ret(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+class _Law:
+    """The implementation shared by the law types, which give ``_triple``."""
+
+    @property
+    def mean(self) -> float:
+        k, lam, c = self._triple
+        return c * (k + lam)
+
+    @property
+    def variance(self) -> float:
+        k, lam, c = self._triple
+        return c * c * (2.0 * k + 4.0 * lam)
+
+    def log_pdf(self, x):
+        arr, scalar = _as_positive_x(x)
+        k, lam, c = self._triple
+        if c != 1.0:  # no full-size temporaries for the unscaled laws
+            arr = arr / c
+        h = 0.5 * k
+        if lam == 0.0:
+            out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - log_gamma(h)
+        else:
+            out = (
+                -0.5 * (arr + lam)
+                + (0.25 * k - 0.5) * (np.log(arr) - math.log(lam))
+                + log_bessel_i(h - 1.0, math.sqrt(lam) * np.sqrt(arr))
+                - _LOG2
+            )
+        if c != 1.0:
+            out -= math.log(c)
+        return _ret(out, scalar)
+
+    def pdf(self, x):
+        return np.exp(self.log_pdf(x))
+
+
+def _triple_of(law) -> tuple[float, float, float]:
+    """(k, lam, c) with ``law`` the law of c * NC(k, lam)."""
+    if not isinstance(law, _Law):
+        raise ValueError(f"unsupported law {type(law).__name__}")
+    return law._triple
+
+
 @dataclass(frozen=True)
-class CentralChiSq:
+class CentralChiSq(_Law):
     """Chi-squared law with ``k > 0`` degrees of freedom."""
 
     k: float
@@ -69,25 +117,12 @@ class CentralChiSq:
         object.__setattr__(self, "k", _require_positive("k", self.k))
 
     @property
-    def mean(self) -> float:
-        return self.k
-
-    @property
-    def variance(self) -> float:
-        return 2.0 * self.k
-
-    def log_pdf(self, x):
-        arr, scalar = _as_positive_x(x)
-        h = 0.5 * self.k
-        out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - log_gamma(h)
-        return _ret(out, scalar)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+    def _triple(self) -> tuple[float, float, float]:
+        return self.k, 0.0, 1.0
 
 
 @dataclass(frozen=True)
-class NoncentralChiSq:
+class NoncentralChiSq(_Law):
     """Noncentral chi-squared law: dof ``k > 0``, noncentrality ``lam >= 0``."""
 
     k: float
@@ -101,33 +136,13 @@ class NoncentralChiSq:
         object.__setattr__(self, "lam", lam)
 
     @property
-    def mean(self) -> float:
-        return self.k + self.lam
-
-    @property
-    def variance(self) -> float:
-        return 2.0 * self.k + 4.0 * self.lam
-
-    def log_pdf(self, x):
-        if self.lam == 0.0:
-            return CentralChiSq(self.k).log_pdf(x)
-        arr, scalar = _as_positive_x(x)
-        nu = 0.5 * self.k - 1.0
-        out = (
-            -0.5 * (arr + self.lam)
-            + (0.25 * self.k - 0.5) * (np.log(arr) - math.log(self.lam))
-            + log_bessel_i(nu, math.sqrt(self.lam) * np.sqrt(arr))
-            - _LOG2
-        )
-        return _ret(out, scalar)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+    def _triple(self) -> tuple[float, float, float]:
+        return self.k, self.lam, 1.0
 
 
 @dataclass(frozen=True)
-class GammaLaw:
-    """Gamma law with ``shape > 0`` and ``scale > 0``."""
+class GammaLaw(_Law):
+    """Gamma law with ``shape > 0`` and ``scale > 0``: (scale/2) * chi^2(2 shape)."""
 
     shape: float
     scale: float
@@ -137,76 +152,41 @@ class GammaLaw:
         object.__setattr__(self, "scale", _require_positive("scale", self.scale))
 
     @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale * self.scale
-
-    def log_pdf(self, x):
-        arr, scalar = _as_positive_x(x)
-        out = (
-            (self.shape - 1.0) * np.log(arr)
-            - arr / self.scale
-            - log_gamma(self.shape)
-            - self.shape * math.log(self.scale)
-        )
-        return _ret(out, scalar)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+    def _triple(self) -> tuple[float, float, float]:
+        return 2.0 * self.shape, 0.0, 0.5 * self.scale
 
 
 @dataclass(frozen=True)
-class ScaledLaw:
+class ScaledLaw(_Law):
     """Law of ``factor * X`` where ``X`` follows ``base``."""
 
     base: "Law"
     factor: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, (CentralChiSq, NoncentralChiSq, GammaLaw, ScaledLaw)):
-            raise ValueError(f"unsupported base law {type(self.base).__name__}")
+        _triple_of(self.base)  # a law, or ValueError
         object.__setattr__(self, "factor", _require_positive("factor", self.factor))
 
     @property
-    def mean(self) -> float:
-        return self.factor * self.base.mean
-
-    @property
-    def variance(self) -> float:
-        return self.factor * self.factor * self.base.variance
-
-    def log_pdf(self, x):
-        arr, scalar = _as_positive_x(x)
-        out = self.base.log_pdf(arr / self.factor) - math.log(self.factor)
-        return _ret(out, scalar)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+    def _triple(self) -> tuple[float, float, float]:
+        k, lam, c = self.base._triple
+        return k, lam, c * self.factor
 
 
 Law = Union[CentralChiSq, NoncentralChiSq, GammaLaw, ScaledLaw]
-
-
-def _draw(law: Law, rng: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(law, CentralChiSq):
-        return rng.gamma(0.5 * law.k, 2.0, size=n)
-    if isinstance(law, NoncentralChiSq):
-        # mixture representation: Poisson-mixed central chi-squared
-        r = rng.poisson(0.5 * law.lam, size=n)
-        return rng.gamma(0.5 * law.k + r, 2.0)
-    if isinstance(law, GammaLaw):
-        return rng.gamma(law.shape, law.scale, size=n)
-    if isinstance(law, ScaledLaw):
-        return law.factor * _draw(law.base, rng, n)
-    raise ValueError(f"cannot sample from {type(law).__name__}")
 
 
 def sample(law: Law, rng_seed: int, n: int) -> np.ndarray:
     """Draw ``n`` variates; fully determined by ``rng_seed``."""
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    k, lam, c = _triple_of(law)
     rng = np.random.default_rng(int(rng_seed))
-    return _draw(law, rng, int(n))
+    shape = 0.5 * k
+    if lam > 0.0:
+        # mixture representation: Poisson-mixed central chi-squared
+        shape = shape + rng.poisson(0.5 * lam, size=int(n))
+    draws = rng.gamma(shape, 2.0, size=int(n))
+    if c != 1.0:
+        draws *= c
+    return draws

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, ScaledLaw
+from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, _triple_of
 from .quad import NonConvergence, QuadConfig, QuadResult, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
 from .specfun import digamma, log_gamma
@@ -231,14 +231,8 @@ class GateDecision:
 
 
 def effective_dof(law: Law) -> float:
-    """Degrees of freedom governing the origin singularity of the law."""
-    if isinstance(law, (CentralChiSq, NoncentralChiSq)):
-        return law.k
-    if isinstance(law, GammaLaw):
-        return 2.0 * law.shape
-    if isinstance(law, ScaledLaw):
-        return effective_dof(law.base)
-    raise ValueError(f"unsupported law {type(law).__name__}")
+    """Degrees of freedom governing the origin singularity: k of c NC(k, lam)."""
+    return _triple_of(law)[0]
 
 
 def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
@@ -283,14 +277,24 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     moves int f^a by a d int f^a, and int f^a log f by
     d int |f^a (1 + a log f)|, which a "slope" row bounds by the smooth
     int f^a sqrt(2 + 2 (a log f)^2).
+
+    NonConvergence is raised where log f cannot be formed at a node
+    (k/2 - 1 above about 8000) or a power integral is not positive.
     """
     cfg = config if config is not None else QuadConfig()
+
+    def log_f(x):
+        try:
+            return law.log_pdf(x)
+        except ValueError as exc:
+            raise NonConvergence(str(exc), math.nan, math.inf, 0) from exc
+
     k = effective_dof(law)
     p = 0.5 * k - 1.0
     mean, var = law.mean, law.variance
     x0 = 1e-17 * k * (var / mean) * (var / mean / mean) / 8.0
     log_x0 = math.log(x0)
-    log_c = law.log_pdf(x0) - p * log_x0
+    log_c = log_f(x0) - p * log_x0
     todo = [row for row in rows if row != (1.0, "power")]
     all_rows = todo + [(a, "slope") for a, kind in todo if kind == "log"]
 
@@ -306,7 +310,7 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
         return math.sqrt(2.0) * part * (1.0 + a * spread)
 
     def g(x):
-        lp = law.log_pdf(x)
+        lp = log_f(x)
         out = np.empty((len(all_rows), x.size))
         with np.errstate(over="ignore"):
             for i, (a, kind) in enumerate(all_rows):
@@ -321,6 +325,8 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     centre = cfg.split_point if cfg.split_point is not None else mean
     res = integrate_rows(g, x0, centre, math.sqrt(var), cfg,
                          offset=[origin(a, kind) for a, kind in all_rows])
+    if any(r.value <= 0.0 for (_, kind), r in zip(todo, res) if kind == "power"):
+        raise NonConvergence("a power integral is not positive", math.nan, math.inf, 0)
     d = 8.0 * _EPS * (1.0 + mean * mean / var + 0.5 * k * abs(math.log(mean)))
     slopes = iter(res[len(todo):])
     done = iter([replace(r, error_estimate=r.error_estimate + d * (
@@ -383,39 +389,38 @@ def entropy(law: Law, spec: EntropySpec,
             scaled_direct: bool = False) -> EntropyResult:
     """Evaluate ``spec`` on ``law``; never raises for in-domain laws.
 
-    Scaled laws are evaluated by default through the exact scaling
-    identities applied to the base law's entropy, which is cheaper and
-    better conditioned; ``scaled_direct=True`` forces quadrature against
-    the scaled density itself (useful for cross-checking).
+    After the parameter exclusions and the existence gate on k, the law
+    c NC(k, lam) takes one of two routes: at lam = 0, the closed form of
+    the gamma law with shape k/2 and scale 2c (error estimate None);
+    otherwise quadrature of NC(k, lam) and :func:`scale_transform` by c.
+    ``scaled_direct=True`` integrates the law's own density instead,
+    for cross-checking.
     """
-    if isinstance(law, ScaledLaw) and not scaled_direct:
-        base = entropy(law.base, spec, config)
-        return scale_transform(base, spec, law.factor)
-
+    k, lam, c = _triple_of(law)
     family, a, b = _family(spec)
     if _excluded(family, a, b):
         return EntropyResult.undefined(REASON_PARAMETER)
-    if not existence_gate(effective_dof(law), spec):
+    if not existence_gate(k, spec):
         return EntropyResult.undefined(REASON_GATE)
-
-    try:
+    if scaled_direct:
         return _entropy_quadrature(law, family, a, b, config)
-    except NonConvergence:
-        return EntropyResult.undefined(REASON_NONCONVERGENCE)
+    if lam == 0.0:
+        return _gamma_closed_form(0.5 * k, 2.0 * c, family, a, b)
+    return scale_transform(_entropy_quadrature(NoncentralChiSq(k, lam), family, a, b, config),
+                           spec, c)
 
 
 def _entropy_quadrature(law: Law, family: EntropyKind, a: float, b: float,
                         config: QuadConfig | None) -> EntropyResult:
-    if family is EntropyKind.GEN_RENYI_DIAG:
-        num, den = _integrals(law, [(a, "log"), (a, "power")], config)
-        if den.value <= 0.0:
-            return EntropyResult.undefined(REASON_NONCONVERGENCE)
-        err = (num.error_estimate
-               + abs(num.value) * den.error_estimate / den.value) / den.value
-        return _assemble(family, a, b, (-num.value / den.value, err))
-    orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
-    res = _integrals(law, [(o, "power") for o in orders], config)
-    if any(r.value <= 0.0 for r in res):
+    try:
+        if family is EntropyKind.GEN_RENYI_DIAG:
+            num, den = _integrals(law, [(a, "log"), (a, "power")], config)
+            err = (num.error_estimate
+                   + abs(num.value) * den.error_estimate / den.value) / den.value
+            return _assemble(family, a, b, (-num.value / den.value, err))
+        orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
+        res = _integrals(law, [(o, "power") for o in orders], config)
+    except NonConvergence:
         return EntropyResult.undefined(REASON_NONCONVERGENCE)
     return _assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
                                      for r in res])
@@ -462,27 +467,9 @@ def _gamma_log_integral_moment(shape: float, scale: float, a: float) -> float:
             + (1.0 - a) * math.log(scale) - g * math.log(a))
 
 
-def gamma_entropy_closed_form(shape: float, scale: float,
-                              spec: EntropySpec) -> EntropyResult:
-    """Every functional of a GammaLaw in closed form (no quadrature).
-
-    Built from the exact value of ``log int f^a`` for gamma densities;
-    subject to the same existence gate as the quadrature route with
-    effective dof ``2 * shape``, and to the same parameter exclusions.
-    """
-    s = float(shape)
-    theta = float(scale)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"shape must be finite and > 0, got {shape}")
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"scale must be finite and > 0, got {scale}")
-
-    family, a, b = _family(spec)
-    if _excluded(family, a, b):
-        return EntropyResult.undefined(REASON_PARAMETER)
-    if not existence_gate(2.0 * s, spec):
-        return EntropyResult.undefined(REASON_GATE)
-
+def _gamma_closed_form(s: float, theta: float, family: EntropyKind,
+                       a: float, b: float) -> EntropyResult:
+    """The functional of a gamma law with shape s and scale theta, exactly."""
     if family is EntropyKind.GEN_RENYI_DIAG:
         # at a = 1 this is the Shannon entropy term for term: the gate
         # keeps s > 1/2, where s - 1, 1 + (s - 1) and g are exact
@@ -493,6 +480,14 @@ def gamma_entropy_closed_form(shape: float, scale: float,
     orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
     return _assemble(family, a, b, *[(_gamma_log_integral_moment(s, theta, o), None)
                                      for o in orders])
+
+
+def gamma_entropy_closed_form(shape: float, scale: float,
+                              spec: EntropySpec) -> EntropyResult:
+    """Every functional of a GammaLaw in closed form (no quadrature).
+
+    Same as ``entropy(GammaLaw(shape, scale), spec)``, exclusions and gate included."""
+    return entropy(GammaLaw(shape, scale), spec)
 
 
 @dataclass(frozen=True)

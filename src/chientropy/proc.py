@@ -39,7 +39,6 @@ from .entropy import (
     _excluded,
     _family,
     entropy,
-    gamma_entropy_closed_form,
 )
 from .quad import QuadConfig
 
@@ -177,7 +176,7 @@ def cir_limit_entropy(params: CIRParams, spec: EntropySpec) -> EntropyResult:
     """Entropy of the t -> inf stationary gamma law, in closed form."""
     shape = 2.0 * params.a / (params.sigma * params.sigma)
     scale = params.sigma * params.sigma / (2.0 * params.b)
-    return gamma_entropy_closed_form(shape, scale, spec)
+    return entropy(GammaLaw(shape, scale), spec)
 
 
 def bessel_limit_entropy(spec: EntropySpec) -> EntropyResult:

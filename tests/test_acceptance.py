@@ -67,7 +67,7 @@ def test_criterion_01_closed_form_oracle_suite():
         for spec in _all_specs(grid):
             if not existence_gate(k, spec):
                 continue
-            got = entropy(law, spec).value
+            got = entropy(law, spec, scaled_direct=True).value
             want = gamma_entropy_closed_form(0.5 * k, 2.0, spec).value
             worst = max(worst, abs(got - want) / abs(want))
             checked += 1

@@ -50,6 +50,15 @@ def test_entropy_gate_failure_exit_code():
     assert row["reason"] == "existence-gate"
 
 
+def test_entropy_large_order_exit_code():
+    # the log-Bessel series cannot reach order 9999 there: an undefined
+    # result, not a usage error
+    proc = run_cli("entropy", "--dist", "ncchisq", "--k", "20000", "--lambda", "100")
+    assert proc.returncode == 3, proc.stderr
+    (row,) = parse_csv(proc.stdout)
+    assert (row["state"], row["reason"]) == ("undefined", "non-convergence")
+
+
 def test_entropy_json_round_trip():
     proc = run_cli("--format", "json", "entropy", "--dist", "ncchisq",
                    "--k", "4", "--lambda", "4", "--kind", "shannon")

@@ -170,6 +170,36 @@ def test_sampler_deterministic_and_law_dispatch():
     assert float(central.mean()) == pytest.approx(5.0, rel=0.05)
 
 
+# Frozen draws and log-densities, to the last bit: the CLI validate
+# command's z-score depends on the sample streams.
+FROZEN_DRAWS = [
+    (CentralChiSq(3.7), 100,
+     [0.9822083327619261, 5.391750024650569, 1.2281154919692499, 5.1098474426798415]),
+    (NoncentralChiSq(2.5, 6.25), 101,
+     [11.395875773384521, 12.798417017157247, 1.1055740457842993, 14.357116987427007]),
+    (GammaLaw(1.8, 0.7), 102,
+     [1.6537273105649877, 2.0684428156830093, 0.6011422865750031, 0.9898701787260344]),
+    (ScaledLaw(NoncentralChiSq(4.5, 3.0), 2.5), 103,
+     [2.9811684330506445, 2.356228626932085, 14.510122056002356, 8.682272144030527]),
+]
+FROZEN_LOG_PDF = [
+    (CentralChiSq(3.7), [-7.098490458151058, -2.0655735744921953, -1.7925780256483481,
+                         -18.090850935019397, -196.13365360597444]),
+    (NoncentralChiSq(2.5, 6.25), [-5.6193513060679186, -3.7610631567393273,
+                                  -2.706418326244208, -10.067895012527911,
+                                  -156.17134268187067]),
+]
+
+
+def test_frozen_samples_and_log_pdf_bit_for_bit():
+    for law, seed, want in FROZEN_DRAWS:
+        assert sample(law, seed, 4).tolist() == want, law
+    xs = np.array([1e-3, 0.5, 3.0, 40.0, 400.0])
+    for law, want in FROZEN_LOG_PDF:
+        assert law.log_pdf(xs).tolist() == want, law
+        assert [law.log_pdf(float(x)) for x in xs] == want, law
+
+
 def test_parameter_validation():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
@@ -182,6 +212,10 @@ def test_parameter_validation():
         NoncentralChiSq(2.0, -0.1)
     with pytest.raises(ValueError):
         ScaledLaw(CentralChiSq(2.0), 0.0)
+    with pytest.raises(ValueError):
+        ScaledLaw("chisq", 2.0)
+    with pytest.raises(ValueError):
+        sample(2.0, 1, 10)
 
 
 def test_support_validation():

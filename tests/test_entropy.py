@@ -10,6 +10,7 @@ import pytest
 from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw, sample
 from chientropy.entropy import (
     REASON_GATE,
+    REASON_NONCONVERGENCE,
     REASON_PARAMETER,
     EntropyKind,
     EntropyResult,
@@ -21,6 +22,7 @@ from chientropy.entropy import (
     lambda_convergence_study,
     scale_transform,
 )
+from chientropy.quad import QuadConfig
 
 SIX_SPECS = [
     EntropySpec.shannon(),
@@ -63,10 +65,23 @@ def test_gamma_closed_form_examples():
 @pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: s.kind.value)
 @pytest.mark.parametrize("k", [2.0, 4.0])
 def test_quadrature_matches_gamma_closed_form(spec, k):
-    # central chi-squared with k dof is Gamma(k/2, 2)
-    got = entropy(CentralChiSq(k), spec).value
+    # central chi-squared with k dof is Gamma(k/2, 2); scaled_direct
+    # integrates the central density instead of taking the closed form
+    got = entropy(CentralChiSq(k), spec, scaled_direct=True).value
     want = gamma_entropy_closed_form(0.5 * k, 2.0, spec).value
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: s.kind.value)
+def test_zero_noncentrality_takes_the_gamma_closed_form(spec):
+    # c NC(k, 0) is the gamma law of shape k/2 and scale 2c: entropy()
+    # returns its closed form as a whole, without an error estimate
+    s, theta, c = 1.7, 0.6, 3.5
+    for law, scale in [(CentralChiSq(2.0 * s), 2.0), (NoncentralChiSq(2.0 * s, 0.0), 2.0),
+                       (GammaLaw(s, theta), theta), (ScaledLaw(GammaLaw(s, theta), c), theta * c)]:
+        got = entropy(law, spec)
+        assert got == gamma_entropy_closed_form(s, scale, spec), law
+        assert got.error_estimate is None
 
 
 @pytest.mark.parametrize("c", [0.1, 1.0, 7.0])
@@ -199,6 +214,12 @@ def test_effective_dof():
     assert effective_dof(NoncentralChiSq(4.0, 2.0)) == 4.0
     assert effective_dof(GammaLaw(2.5, 1.0)) == 5.0
     assert effective_dof(ScaledLaw(GammaLaw(2.5, 1.0), 0.1)) == 5.0
+    # anything that is not a law is refused, whatever the spec
+    for bad in (2.0, "chisq", None):
+        with pytest.raises(ValueError):
+            effective_dof(bad)
+        with pytest.raises(ValueError):
+            entropy(bad, EntropySpec.shannon())
 
 
 def test_lambda_convergence_study():
@@ -288,7 +309,7 @@ def test_error_estimates_bound_gamma_closed_forms():
                      EntropySpec.gen_renyi(a, b), EntropySpec.gen_renyi_diag(a),
                      EntropySpec.tsallis(a), EntropySpec.sharma_mittal(a, b)):
             want = gamma_entropy_closed_form(shape, scale, spec)
-            got = entropy(GammaLaw(shape, scale), spec)
+            got = entropy(GammaLaw(shape, scale), spec, scaled_direct=True)
             if want.is_undefined:
                 assert got.is_undefined and got.reason == want.reason
                 continue
@@ -315,6 +336,20 @@ def test_family_identities_bit_for_bit(alpha):
             entropy(laws[3], general, scaled_direct=True), named
         assert gamma_entropy_closed_form(1.7, 0.6, named) == \
             gamma_entropy_closed_form(1.7, 0.6, general), named
+
+
+def test_large_order_is_undefined_not_raised():
+    # for k/2 - 1 above about 8000 at moderate lam, ive underflows and
+    # the log-Bessel series reaches its term cap; the quadrature cannot
+    # certify anything there, which is an explicit non-convergence
+    for k, lam in [(1.6e4, 100.0), (4e4, 1e8)]:
+        res = entropy(NoncentralChiSq(k, lam), EntropySpec.shannon())
+        assert res.is_undefined and res.reason == REASON_NONCONVERGENCE, (k, lam, res)
+    assert entropy(NoncentralChiSq(1.2e4, 100.0), EntropySpec.shannon()).is_finite
+    # a usage error still raises
+    with pytest.raises(ValueError, match="need 0 <= lo < centre"):
+        entropy(NoncentralChiSq(4.0, 3.0), EntropySpec.shannon(),
+                QuadConfig(split_point=1e-30))
 
 
 def test_noncentral_beyond_library_bessel_range():

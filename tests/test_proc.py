@@ -110,6 +110,17 @@ FIVE_SPECS = [
 ]
 
 
+def test_cir_curve_row_at_zero_noncentrality_is_the_limit():
+    # at b t = 800, e^(-b t) underflows and the marginal is exactly
+    # 0.25 NC(4, 0), the gamma law of shape 2 and scale 0.5: the curve
+    # row takes the closed form, bit for bit the stationary entropy
+    params = CIRParams(1.0, 1.0, 1.0, 1.0)
+    assert cir_marginal(params, 800.0).base.lam == 0.0
+    for spec in FIVE_SPECS:
+        (row,) = entropy_curve(params, TimeGrid((800.0,)), spec)
+        assert row.result == cir_limit_entropy(params, spec), spec.kind
+
+
 @pytest.mark.parametrize("b", [0.5, 1.0])
 def test_cir_long_time_limit(b):
     params = CIRParams(1.0, b, 1.0, 1.0)
