@@ -64,6 +64,18 @@ def _ret(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+def _nc_log_pdf(x: np.ndarray, k: float, lam, log_lam, root_lam) -> np.ndarray:
+    """log density of NC(k, lam), lam > 0, at x > 0.
+
+    ``lam``, its log and its square root are scalars, or columns with
+    one law per row of ``x``: one evaluation for many laws of one k.
+    """
+    return (-0.5 * (x + lam)
+            + (0.25 * k - 0.5) * (np.log(x) - log_lam)
+            + log_bessel_i(0.5 * k - 1.0, root_lam * np.sqrt(x))
+            - _LOG2)
+
+
 class _Law:
     """The implementation shared by the law types, which give ``_triple``."""
 
@@ -86,12 +98,7 @@ class _Law:
         if lam == 0.0:
             out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - log_gamma(h)
         else:
-            out = (
-                -0.5 * (arr + lam)
-                + (0.25 * k - 0.5) * (np.log(arr) - math.log(lam))
-                + log_bessel_i(h - 1.0, math.sqrt(lam) * np.sqrt(arr))
-                - _LOG2
-            )
+            out = _nc_log_pdf(arr, k, lam, math.log(lam), math.sqrt(lam))
         if c != 1.0:
             out -= math.log(c)
         return _ret(out, scalar)

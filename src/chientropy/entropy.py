@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, _triple_of
+from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
 from .quad import NonConvergence, QuadConfig, QuadResult, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
 from .specfun import digamma, log_gamma
@@ -257,14 +257,23 @@ def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
     return GateDecision(True)
 
 
-def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
-    """int f^a ("power") or int f^a log f ("log") for each ``(a, kind)`` row.
+def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
+    """int f^a ("power") or int f^a log f ("log") for each ``(a, kind)`` row, per law.
 
-    A power row of order 1 is int f = 1 exactly and is never integrated.
-    One ``law.log_pdf`` call per quadrature level feeds every row.  On
-    (0, x0) every density of the family is C x^p with p = k/2 - 1 to a
-    relative 1e-17: for a law c NC(k, lam) the first correction term is
-    at most x mean / (2 k c^2), and x0 = 1e-17 k var^2 / (8 mean^3)
+    The laws are NC(k, lam_i) of one k, or any one law.  Returns, per
+    law, the list of its results, one per row, or the
+    :class:`NonConvergence` it met; a law never changes another's
+    outcome.  A power row of order 1 is int f = 1 exactly and is never
+    integrated.  One log-density evaluation per quadrature level feeds
+    every row of every law: the noncentral formula of ``law.log_pdf``
+    with one column per law, or, for a law of another form, its own
+    ``log_pdf``.  Where log f cannot be formed at a node (k/2 - 1 above
+    about 8000) the laws are integrated one by one, so that only the
+    laws that fail alone report it.
+
+    On (0, x0) every density of the family is C x^p with p = k/2 - 1 to
+    a relative 1e-17: for a law c NC(k, lam) the first correction term
+    is at most x mean / (2 k c^2), and x0 = 1e-17 k var^2 / (8 mean^3)
     keeps it below that.  The piece is taken in closed form, so the
     nodes never come near the origin, where f^a can overflow for laws
     close to the gate.
@@ -276,29 +285,36 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
     log Gamma(k/2) about (k/2) |log mean|.  A relative error d of f
     moves int f^a by a d int f^a, and int f^a log f by
     d int |f^a (1 + a log f)|, which a "slope" row bounds by the smooth
-    int f^a sqrt(2 + 2 (a log f)^2).
-
-    NonConvergence is raised where log f cannot be formed at a node
-    (k/2 - 1 above about 8000) or a power integral is not positive.
+    int f^a sqrt(2 + 2 (a log f)^2).  A power integral that is not
+    positive is a NonConvergence.
     """
     cfg = config if config is not None else QuadConfig()
+    triples = [_triple_of(law) for law in laws]
+    k = triples[0][0]
+    noncentral = all(lam > 0.0 and c == 1.0 for _, lam, c in triples)
+    if noncentral:
+        lam = [t[1] for t in triples]
+        columns = [np.array(v)[:, None] for v in (
+            lam, [math.log(v) for v in lam], [math.sqrt(v) for v in lam])]
 
-    def log_f(x):
+    def log_f(x, i):
         try:
-            return law.log_pdf(x)
+            if not noncentral:
+                return laws[0].log_pdf(x)
+            cols = columns if i.size == len(laws) else [col[i] for col in columns]
+            return _nc_log_pdf(x, k, *cols)
         except ValueError as exc:
             raise NonConvergence(str(exc), math.nan, math.inf, 0) from exc
 
-    k = effective_dof(law)
     p = 0.5 * k - 1.0
-    mean, var = law.mean, law.variance
-    x0 = 1e-17 * k * (var / mean) * (var / mean / mean) / 8.0
-    log_x0 = math.log(x0)
-    log_c = log_f(x0) - p * log_x0
+    mean = [law.mean for law in laws]
+    var = [law.variance for law in laws]
+    x0 = [1e-17 * k * (v / m) * (v / m / m) / 8.0 for m, v in zip(mean, var)]
+    log_x0 = [math.log(x) for x in x0]
     todo = [row for row in rows if row != (1.0, "power")]
     all_rows = todo + [(a, "slope") for a, kind in todo if kind == "log"]
 
-    def origin(a, kind):
+    def origin(log_c, log_x0, a, kind):
         q = a * p + 1.0
         part = math.exp(a * log_c + q * log_x0 - math.log(q))
         if kind == "power":
@@ -309,31 +325,47 @@ def _integrals(law: Law, rows, config: QuadConfig | None) -> list[QuadResult]:
         spread = abs(log_c) + abs(p) * (abs(log_x0) + 1.0 / q)
         return math.sqrt(2.0) * part * (1.0 + a * spread)
 
-    def g(x):
-        lp = log_f(x)
-        out = np.empty((len(all_rows), x.size))
+    def g(x, i):
+        lp = log_f(x, i)
+        out = np.empty((x.shape[0], len(all_rows), x.shape[1]))
         with np.errstate(over="ignore"):
-            for i, (a, kind) in enumerate(all_rows):
+            for r, (a, kind) in enumerate(all_rows):
                 w = np.exp(a * lp)
                 if kind == "power":
-                    out[i] = w
+                    out[:, r] = w
                 else:
                     factor = lp if kind == "log" else np.sqrt(2.0 + 2.0 * (a * lp) ** 2)
-                    out[i] = np.where(w > 0.0, w * factor, 0.0)
+                    out[:, r] = np.where(w > 0.0, w * factor, 0.0)
         return out
 
-    centre = cfg.split_point if cfg.split_point is not None else mean
-    res = integrate_rows(g, x0, centre, math.sqrt(var), cfg,
-                         offset=[origin(a, kind) for a, kind in all_rows])
-    if any(r.value <= 0.0 for (_, kind), r in zip(todo, res) if kind == "power"):
-        raise NonConvergence("a power integral is not positive", math.nan, math.inf, 0)
-    d = 8.0 * _EPS * (1.0 + mean * mean / var + 0.5 * k * abs(math.log(mean)))
-    slopes = iter(res[len(todo):])
-    done = iter([replace(r, error_estimate=r.error_estimate + d * (
-                     next(slopes).value if kind == "log" else a * abs(r.value)))
-                 for (a, kind), r in zip(todo, res)])
-    return [QuadResult(1.0, 0.0, 0, True) if row == (1.0, "power") else next(done)
-            for row in rows]
+    try:
+        log_c = [lf - p * lx for lf, lx in zip(
+            log_f(np.array(x0)[:, None], np.arange(len(laws)))[:, 0].tolist(), log_x0)]
+        results = integrate_rows(
+            g, x0, mean if cfg.split_point is None else cfg.split_point,
+            [math.sqrt(v) for v in var], cfg,
+            offset=[[origin(lc, lx, a, kind) for a, kind in all_rows]
+                    for lc, lx in zip(log_c, log_x0)])
+    except NonConvergence as exc:
+        if len(laws) == 1:
+            return [exc]
+        return [_integrals([law], rows, config)[0] for law in laws]
+
+    out = []
+    for res, m, v in zip(results, mean, var):
+        if not isinstance(res, NonConvergence) and any(
+                r.value <= 0.0 for (_, kind), r in zip(todo, res) if kind == "power"):
+            res = NonConvergence("a power integral is not positive", math.nan, math.inf, 0)
+        if not isinstance(res, NonConvergence):
+            d = 8.0 * _EPS * (1.0 + m * m / v + 0.5 * k * abs(math.log(m)))
+            slopes = iter(res[len(todo):])
+            done = iter([replace(r, error_estimate=r.error_estimate + d * (
+                             next(slopes).value if kind == "log" else a * abs(r.value)))
+                         for (a, kind), r in zip(todo, res)])
+            res = [QuadResult(1.0, 0.0, 0, True) if row == (1.0, "power") else next(done)
+                   for row in rows]
+        out.append(res)
+    return out
 
 
 def _family(spec: EntropySpec) -> tuple[EntropyKind, float, float]:
@@ -396,34 +428,58 @@ def entropy(law: Law, spec: EntropySpec,
     ``scaled_direct=True`` integrates the law's own density instead,
     for cross-checking.
     """
-    k, lam, c = _triple_of(law)
+    return _entropies([law], spec, config, scaled_direct=scaled_direct)[0]
+
+
+def _entropies(laws: list, spec: EntropySpec, config: QuadConfig | None = None, *,
+               scaled_direct: bool = False) -> list[EntropyResult]:
+    """:func:`entropy` of each law, the noncentral laws of one k in one sweep.
+
+    Each result is the one :func:`entropy` gives for that law alone.
+    """
+    triples = [_triple_of(law) for law in laws]
     family, a, b = _family(spec)
     if _excluded(family, a, b):
-        return EntropyResult.undefined(REASON_PARAMETER)
-    if not existence_gate(k, spec):
-        return EntropyResult.undefined(REASON_GATE)
-    if scaled_direct:
-        return _entropy_quadrature(law, family, a, b, config)
-    if lam == 0.0:
-        return _gamma_closed_form(0.5 * k, 2.0 * c, family, a, b)
-    return scale_transform(_entropy_quadrature(NoncentralChiSq(k, lam), family, a, b, config),
-                           spec, c)
+        return [EntropyResult.undefined(REASON_PARAMETER)] * len(laws)
+    out = [None] * len(laws)
+    sweeps = {}   # k -> indices of the laws NC(k, lam) integrates for
+    for i, (law, (k, lam, c)) in enumerate(zip(laws, triples)):
+        if not existence_gate(k, spec):
+            out[i] = EntropyResult.undefined(REASON_GATE)
+        elif scaled_direct:
+            (out[i],) = _entropy_quadrature([law], family, a, b, config)
+        elif lam == 0.0:
+            out[i] = _gamma_closed_form(0.5 * k, 2.0 * c, family, a, b)
+        else:
+            sweeps.setdefault(k, []).append(i)
+    for k, idx in sweeps.items():
+        base = _entropy_quadrature([NoncentralChiSq(k, triples[i][1]) for i in idx],
+                                   family, a, b, config)
+        for i, res in zip(idx, base):
+            out[i] = scale_transform(res, spec, triples[i][2])
+    return out
 
 
-def _entropy_quadrature(law: Law, family: EntropyKind, a: float, b: float,
-                        config: QuadConfig | None) -> EntropyResult:
-    try:
-        if family is EntropyKind.GEN_RENYI_DIAG:
-            num, den = _integrals(law, [(a, "log"), (a, "power")], config)
+def _entropy_quadrature(laws: list, family: EntropyKind, a: float, b: float,
+                        config: QuadConfig | None) -> list[EntropyResult]:
+    diagonal = family is EntropyKind.GEN_RENYI_DIAG
+    if diagonal:
+        rows = [(a, "log"), (a, "power")]
+    else:
+        rows = [(o, "power") for o in ((a, b) if family is EntropyKind.GEN_RENYI else (a,))]
+    out = []
+    for res in _integrals(laws, rows, config):
+        if isinstance(res, NonConvergence):
+            out.append(EntropyResult.undefined(REASON_NONCONVERGENCE))
+        elif diagonal:
+            num, den = res
             err = (num.error_estimate
                    + abs(num.value) * den.error_estimate / den.value) / den.value
-            return _assemble(family, a, b, (-num.value / den.value, err))
-        orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
-        res = _integrals(law, [(o, "power") for o in orders], config)
-    except NonConvergence:
-        return EntropyResult.undefined(REASON_NONCONVERGENCE)
-    return _assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
-                                     for r in res])
+            out.append(_assemble(family, a, b, (-num.value / den.value, err)))
+        else:
+            out.append(_assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
+                                                 for r in res]))
+    return out
 
 
 def scale_transform(base_result: EntropyResult, spec: EntropySpec,
@@ -514,10 +570,10 @@ def lambda_convergence_study(k: float, spec: EntropySpec,
     if any(g1 <= g2 for g1, g2 in zip(grid, grid[1:])):
         raise ValueError("lambda_grid must be strictly decreasing")
 
-    central = entropy(CentralChiSq(k), spec, config)
+    central, *results = _entropies(
+        [CentralChiSq(k)] + [NoncentralChiSq(k, lam) for lam in grid], spec, config)
     rows = []
-    for lam in grid:
-        res = entropy(NoncentralChiSq(k, lam), spec, config)
+    for lam, res in zip(grid, results):
         gap = None
         if res.is_finite and central.is_finite:
             gap = abs(res.value - central.value)

@@ -36,6 +36,7 @@ from .entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
+    _entropies,
     _excluded,
     _family,
     entropy,
@@ -161,15 +162,21 @@ class CurveRow:
 def entropy_curve(params: CIRParams | BesselParams, grid: TimeGrid,
                   spec: EntropySpec, config: QuadConfig | None = None
                   ) -> list[CurveRow]:
-    """Entropy of the marginal law at each grid time."""
+    """Entropy of the marginal law at each grid time.
+
+    Each row is ``entropy(marginal, spec, config)``.  The marginals
+    share k, so every one that needs quadrature is integrated in the
+    same sweep: one log-density evaluation per quadrature level covers
+    the nodes of every time not yet converged.
+    """
     if isinstance(params, CIRParams):
         marginal = cir_marginal
     elif isinstance(params, BesselParams):
         marginal = bessel_marginal
     else:
         raise ValueError(f"unsupported params {type(params).__name__}")
-    return [CurveRow(t, entropy(marginal(params, t), spec, config))
-            for t in grid.times]
+    results = _entropies([marginal(params, t) for t in grid.times], spec, config)
+    return [CurveRow(t, res) for t, res in zip(grid.times, results)]
 
 
 def cir_limit_entropy(params: CIRParams, spec: EntropySpec) -> EntropyResult:
@@ -211,7 +218,8 @@ def b_to_zero_study(a: float, sigma: float, r0: float, t: float,
     As b -> 0 the CIR scale c(t) -> sigma^2 t / 4 and the noncentrality
     approaches the squared Bessel values, so the entropies converge to
     the entropy of the Bessel marginal at the same t; each row carries
-    the remaining gap when both sides are finite.
+    the remaining gap when both sides are finite.  The Bessel marginal
+    and the CIR marginals share k and are integrated in one sweep.
     """
     grid = [float(b) for b in b_grid]
     if not grid:
@@ -222,11 +230,11 @@ def b_to_zero_study(a: float, sigma: float, r0: float, t: float,
         raise ValueError("b_grid must be strictly decreasing")
     t = _check_time(t)
 
-    reference = entropy(bessel_marginal(BesselParams(a, sigma, r0), t),
-                        spec, config)
+    reference, *results = _entropies(
+        [bessel_marginal(BesselParams(a, sigma, r0), t)]
+        + [cir_marginal(CIRParams(a, b, sigma, r0), t) for b in grid], spec, config)
     rows = []
-    for b in grid:
-        res = entropy(cir_marginal(CIRParams(a, b, sigma, r0), t), spec, config)
+    for b, res in zip(grid, results):
         gap = None
         if res.is_finite and reference.is_finite:
             gap = abs(res.value - reference.value)

@@ -18,15 +18,17 @@ range (lo, inf) is split at a centre m (the law's mean, or
 Both are trapezoid sums in u over fixed ranges.  Each level halves the
 step and evaluates only its new nodes, in one vectorised call, so one
 log-density sweep per level can feed every integral of a functional,
-one row each (:func:`integrate_rows`).  A row has converged when two
-successive levels, from step 1/8 on, agree to
+one row each, for many laws at once, one law per array row
+(:func:`integrate_rows`).  The parts of the nodes that depend on u
+alone are built once per level and kept between calls.  A row has
+converged when two successive levels, from step 1/8 on, agree to
 ``max(rel_tol * |I|, abs_tol * int |g|)``; the floor is relative to the
 integrand's own size, so a tiny integral is still resolved and a row
 whose positive and negative parts cancel is not chased below rounding.
 The terms at the outer ends of the range must then also be below that
 tolerance; where they are not, as for x^(-1.6) at the origin, the
 integral diverges.  The error estimate is the difference of the last
-two levels plus a rounding allowance.  Every failure raises
+two levels plus a rounding allowance.  Every failure is a
 :class:`NonConvergence` with the best estimate, so callers can tell
 "diverges" or "budget exhausted" from "converged".
 
@@ -36,6 +38,7 @@ with lo = 0 and m = 1 unless ``split_point`` is set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -138,111 +141,176 @@ class QuadResult:
     converged: bool
 
 
-def _tanh_sinh(u: np.ndarray, lo: float, centre: float):
-    width = centre - lo
-    v = _HALF_PI * np.sinh(u)
-    e = np.exp(-2.0 * np.abs(v))
-    d = width * e / (1.0 + e)
-    x = np.where(u < 0.0, lo + d, centre - d)
-    return x, _HALF_PI * np.cosh(u) * 2.0 * width * e / ((1.0 + e) * (1.0 + e))
+@functools.lru_cache(maxsize=128)
+def _tables(start: float, level: int) -> tuple:
+    """The parts of the nodes new at ``level`` that depend on u alone.
 
-
-def _exp_sinh(u: np.ndarray, centre: float, scale: float):
-    t = scale * np.exp(_HALF_PI * np.sinh(u))
-    return centre + t, _HALF_PI * np.cosh(u) * t
-
-
-def _level_nodes(pieces, level: int):
-    """Abscissae and weights dx/du of the nodes new at ``level``."""
+    For the tanh-sinh piece, on u in (start, _TS_CENTRE_END): the count
+    of u < 0, e = e^(-2|v|) with v = (pi/2) sinh u, 1 + e,
+    (pi/2) cosh u * 2 and (1 + e)^2; for the exp-sinh piece:
+    e^((pi/2) sinh u) and (pi/2) cosh u.  The arrays are shared between
+    calls, read-only.
+    """
     h = _FIRST_STEP / 2 ** level
-    xs, ws = [], []
-    for start, end, rule in pieces:
-        n = round((end - start) / _FIRST_STEP) * 2 ** max(level - 1, 0)
-        u = start + h * (np.arange(n + 1) if level == 0 else 2.0 * np.arange(n) + 1.0)
-        x, w = rule(u)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+
+    def u(a: float, b: float) -> np.ndarray:
+        n = round((b - a) / _FIRST_STEP) * 2 ** max(level - 1, 0)
+        return a + h * (np.arange(n + 1) if level == 0 else 2.0 * np.arange(n) + 1.0)
+
+    ts, es = u(start, _TS_CENTRE_END), u(_ES_CENTRE_END, _ES_FAR_END)
+    e = np.exp(-2.0 * np.abs(_HALF_PI * np.sinh(ts)))
+    tables = (e, 1.0 + e, _HALF_PI * np.cosh(ts) * 2.0, (1.0 + e) * (1.0 + e),
+              np.exp(_HALF_PI * np.sinh(es)), _HALF_PI * np.cosh(es))
+    for t in tables:
+        t.flags.writeable = False
+    return (int(np.count_nonzero(ts < 0.0)),) + tables
 
 
-def _evaluate(g, x: np.ndarray) -> np.ndarray:
-    vals = np.atleast_2d(np.asarray(g(x), dtype=float))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
-        raise IntegrandFailure(float(x[i]), float(vals[r, i]))
+def _level_nodes(start: float, level: int, lo, centre, width, scale):
+    """Abscissae and weights dx/du of the nodes new at ``level``.
+
+    ``lo``, ``centre``, ``width = centre - lo`` and ``scale`` are
+    columns, one law per row.  Tanh-sinh comes first and exp-sinh last,
+    so that the first and the last node of level 0 are the outer ends,
+    at lo and far out.
+    """
+    n_neg, e, opp, dcosh, opp2, grow, ecosh = _tables(start, level)
+    d = width * e / opp
+    t = scale * grow
+    return (np.concatenate([lo + d[:, :n_neg], centre - d[:, n_neg:], centre + t], axis=1),
+            np.concatenate([dcosh * width * e / opp2, ecosh * t], axis=1))
+
+
+def _evaluate(g, x: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    vals = np.asarray(g(x, laws), dtype=float)
+    if not np.isfinite(vals).all():
+        i, r, j = np.argwhere(~np.isfinite(vals))[0]
+        raise IntegrandFailure(float(x[i, j]), float(vals[i, r, j]))
     return vals
 
 
-def integrate_rows(g: Callable[[np.ndarray], np.ndarray], lo: float,
-                   centre: float, scale: float, config: QuadConfig | None = None,
-                   offset=0.0) -> list[QuadResult]:
-    """Integrate each row of a vectorised integrand over (lo, inf).
-
-    ``g(x)`` maps a 1-D array of abscissae to an array of shape
-    ``(rows, x.size)`` (or ``(x.size,)`` for one row); it is called once
-    per level.  ``centre`` splits the range and ``scale`` sets the
-    exp-sinh width.  ``offset`` (a scalar or one value per row) is added
-    to each row's integral, for a part of the half line integrated in
-    closed form.  Returns one converged :class:`QuadResult` per row, or
-    raises.
-    """
-    cfg = config if config is not None else QuadConfig()
+def _start(lo: float, centre: float) -> float:
+    """The u at which the tanh-sinh piece of a law on (lo, centre) starts."""
     if not 0.0 <= lo < centre:
         raise ValueError(f"need 0 <= lo < centre, got lo = {lo}, centre = {centre}")
     # log of (centre - lo) / (distance of the nearest node to lo)
     depth = -math.log(_TS_REACH)
     if lo > 0.0:
         depth = min(depth, math.log(centre - lo) - math.log(lo) - math.log(_LO_REACH))
-    reach = math.asinh(depth / math.pi)
-    # tanh-sinh first and exp-sinh last, so that the first and the last
-    # node of level 0 are the outer ends, at lo and far out
-    pieces = ((-math.ceil(reach / _FIRST_STEP) * _FIRST_STEP, _TS_CENTRE_END,
-               lambda u: _tanh_sinh(u, lo, centre)),
-              (_ES_CENTRE_END, _ES_FAR_END, lambda u: _exp_sinh(u, centre, scale)))
-    offset = np.asarray(offset, dtype=float)
+    return -math.ceil(math.asinh(depth / math.pi) / _FIRST_STEP) * _FIRST_STEP
 
-    level, used, best = 0, 0, math.inf
+
+def integrate_rows(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, centre, scale,
+                   config: QuadConfig | None = None, offset=0.0) -> list:
+    """Integrate each row of a vectorised integrand over (lo, inf), for many laws at once.
+
+    ``lo``, ``centre`` and ``scale`` hold one value per law (scalars for
+    one law): ``centre`` splits the law's range and ``scale`` sets its
+    exp-sinh width.  ``g(x, laws)`` maps the abscissae ``x``, of shape
+    ``(len(laws), n)`` with one row per law, of the laws with indices
+    ``laws`` to an array of shape ``(len(laws), rows, n)``; it is called
+    once per level, for the laws still being refined.  ``offset``
+    (broadcast to one value per law and row) is added to each integral,
+    for a part of the half line integrated in closed form.
+
+    Every law gets the nodes, stopping rule and error estimate it would
+    get alone: the node tables are built once per level, from the lowest
+    start of the tanh-sinh piece, each law's sums skip the nodes below
+    its own start, and a law leaves the sweep at the level where its own
+    rows converge.  Returns, per law, the list of its converged
+    :class:`QuadResult` (one per row) or the :class:`NonConvergence` it
+    met; an exception raised by ``g``, and :class:`IntegrandFailure`,
+    propagate.
+    """
+    cfg = config if config is not None else QuadConfig()
+    lo, centre, scale = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, centre, scale))
+    starts = [_start(a, b) for a, b in zip(lo.tolist(), centre.tolist())]
+    start = min(starts)
+    outcomes = [None] * lo.size
+    # Per law still refined: its index, its columns, the nodes of level 0
+    # below its own start (2^(level-1) times as many later) and its
+    # node count.
+    laws = np.arange(lo.size)
+    cols = (lo[:, None], centre[:, None], (centre - lo)[:, None], scale[:, None])
+    below = np.array([round((s - start) / _FIRST_STEP) for s in starts])
+    aligned = not below.any()
+    used = np.zeros(lo.size, dtype=int)
+    offset = np.asarray(offset, dtype=float)
+    level, best = 0, math.inf
     while True:
         h = _FIRST_STEP / 2 ** level
-        x, w = _level_nodes(pieces, level)
-        terms = _evaluate(g, x) * w
-        used += x.size
-        if level == 0:
-            body = h * terms.sum(axis=1)
-            size = h * np.abs(terms).sum(axis=1)
-            end_terms = np.maximum(np.abs(terms[:, 0]), np.abs(terms[:, -1]))
+        x, w = _level_nodes(start, level, *cols)
+        terms = _evaluate(g, x, laws) * w[:, None, :]
+        skip = below * 2 ** max(level - 1, 0)
+        used += x.shape[1] - skip
+        if aligned:
+            total, total_abs = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
         else:
-            body = 0.5 * body + h * terms.sum(axis=1)
-            size = 0.5 * size + h * np.abs(terms).sum(axis=1)
+            total, total_abs = np.empty(terms.shape[:2]), np.empty(terms.shape[:2])
+            for s in set(skip.tolist()):
+                mine = skip == s
+                own = terms[mine, :, s:]
+                total[mine] = own.sum(axis=-1)
+                total_abs[mine] = np.abs(own).sum(axis=-1)
+        if level == 0:
+            offset_abs = np.abs(offset)
+            body, size = h * total, h * total_abs
+            first = terms[np.arange(laws.size), :, skip]
+            end_terms = np.maximum(np.abs(first), np.abs(terms[:, :, -1]))
+        else:
+            body = 0.5 * body + h * total
+            size = 0.5 * size + h * total_abs
         value = offset + body
-        size_all = np.abs(offset) + size
+        size_all = offset_abs + size
         err = np.abs(value - best)
         tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
-        if level >= _MIN_LEVEL and np.all(err <= tol) and np.all(size_all > 0.0):
-            if np.any(end_terms > tol):
-                # the levels agree on a truncated range; no refinement
-                # reaches what lies beyond its ends
-                r = int(np.argmax(end_terms - tol))
-                raise NonConvergence(
-                    "half-line quadrature did not converge: the integrand is not "
-                    f"negligible at the end of the range; probably divergent "
-                    f"(value ~ {value[r]:.6g})",
-                    value=float(value[r]), error_estimate=float(end_terms[r]),
-                    subdivisions_used=used)
-            return [QuadResult(value=float(v), error_estimate=float(e),
-                               subdivisions_used=used, converged=True)
-                    for v, e in zip(value, err + _ROUNDING * size_all)]
-        if 2 ** (level + 1) > cfg.max_subdivisions:
-            r = int(np.argmax(err - tol))
-            raise NonConvergence(
-                "half-line quadrature did not converge: error estimate above "
-                f"tolerance after {used} nodes (value ~ {value[r]:.6g}, "
-                f"error ~ {err[r]:.3g})",
-                value=float(value[r]), error_estimate=float(err[r]),
-                subdivisions_used=used)
+        last = 2 ** (level + 1) > cfg.max_subdivisions
+        done = np.zeros(laws.size, dtype=bool)
+        if level >= _MIN_LEVEL:
+            done = (err <= tol).all(axis=1) & (size_all > 0.0).all(axis=1)
+        if last or done.any():
+            for i in np.flatnonzero(done | last):
+                outcomes[laws[i]] = _outcome(bool(done[i]), value[i], err[i], tol[i],
+                                             size_all[i], end_terms[i], int(used[i]))
+            if last or done.all():
+                return outcomes
+            keep = ~done
+            offset, offset_abs = (np.broadcast_to(a, value.shape)[keep]
+                                  for a in (offset, offset_abs))
+            laws, below, used, body, size, end_terms, value = (
+                a[keep] for a in (laws, below, used, body, size, end_terms, value))
+            cols = tuple(c[keep] for c in cols)
+            # the union grid starts at the lowest start still refined
+            start += _FIRST_STEP * int(below.min())
+            below = below - below.min()
+            aligned = not below.any()
         best = value
         level += 1
+
+
+def _outcome(converged: bool, value, err, tol, size_all, end_terms, used: int):
+    """What :func:`integrate_rows` returns for one law that left the sweep."""
+    if converged and (end_terms > tol).any():
+        # the levels agree on a truncated range; no refinement reaches
+        # what lies beyond its ends
+        r = int(np.argmax(end_terms - tol))
+        return NonConvergence(
+            "half-line quadrature did not converge: the integrand is not "
+            f"negligible at the end of the range; probably divergent "
+            f"(value ~ {value[r]:.6g})",
+            value=float(value[r]), error_estimate=float(end_terms[r]),
+            subdivisions_used=used)
+    if converged:
+        return [QuadResult(value=float(v), error_estimate=float(e),
+                           subdivisions_used=used, converged=True)
+                for v, e in zip(value, err + _ROUNDING * size_all)]
+    r = int(np.argmax(err - tol))
+    return NonConvergence(
+        "half-line quadrature did not converge: error estimate above "
+        f"tolerance after {used} nodes (value ~ {value[r]:.6g}, "
+        f"error ~ {err[r]:.3g})",
+        value=float(value[r]), error_estimate=float(err[r]),
+        subdivisions_used=used)
 
 
 def integrate_halfline(f: Callable[[float], float],
@@ -258,9 +326,9 @@ def integrate_halfline(f: Callable[[float], float],
     cfg = config if config is not None else QuadConfig()
     centre = cfg.split_point if cfg.split_point is not None else 1.0
 
-    def g(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray, laws) -> np.ndarray:
         try:
-            return np.array([float(f(float(xi))) for xi in x])
+            return np.array([[[float(f(float(xi))) for xi in x[0]]]])
         except OverflowError as exc:
             raise NonConvergence(
                 f"half-line quadrature did not converge: the integrand "
@@ -268,4 +336,6 @@ def integrate_halfline(f: Callable[[float], float],
                 value=math.inf, error_estimate=math.inf, subdivisions_used=0) from None
 
     (res,) = integrate_rows(g, 0.0, centre, centre, cfg)
-    return res
+    if isinstance(res, NonConvergence):
+        raise res
+    return res[0]

@@ -64,22 +64,42 @@ def _log_i_series(nu: float, x: np.ndarray) -> np.ndarray:
     term * r / (1 - r); the sum stops when that bound falls below
     _TERM_EPS of the total.  Raises ``ValueError`` rather than return a
     truncated sum if the term cap is reached first.
+
+    The terms of the largest x grow up to their peak, at the first m
+    with (m+1)(m+1+nu) > z, and shrink after it.  A total of at most
+    _SERIES_MAX_TERMS terms is at most _SERIES_MAX_TERMS peak terms, so
+    where the term at the cap is not below _SERIES_MAX_TERMS *
+    _TERM_EPS peak terms (with a factor e to spare for rounding) the
+    sum cannot stop, and it raises at once.
     """
     log_half = np.log(x) - math.log(2.0)  # log(0.5 * x) underflows for subnormal x
     log_z = 2.0 * log_half
     log_eps = math.log(_TERM_EPS)
+    cap = _SERIES_MAX_TERMS
+    failure = ValueError(
+        f"log_bessel_i series for nu = {nu} did not converge in "
+        f"{cap} terms at x up to {float(np.max(x))}")
+
+    def log_term(m, lh):
+        return (nu + 2.0 * m) * lh - (math.lgamma(m + 1.0) + math.lgamma(nu + m + 1.0))
+
+    lh = float(np.max(log_half))
+    half = math.exp(lh)
+    # the terms peak at about m = z / ((nu + sqrt(nu^2 + 4 z)) / 2); a
+    # window of five indices around it absorbs rounding
+    m_lo = max(0, math.floor(half * (2.0 * half / (nu + math.hypot(nu, 2.0 * half)))) - 3)
+    if m_lo >= cap or log_term(cap, lh) > (max(log_term(m, lh) for m in range(m_lo, m_lo + 5))
+                                           + math.log(cap) + log_eps + 1.0):
+        raise failure
     total = np.full_like(x, -np.inf)
-    for m in range(_SERIES_MAX_TERMS):
-        log_term = ((nu + 2.0 * m) * log_half
-                    - (math.lgamma(m + 1.0) + math.lgamma(nu + m + 1.0)))
-        total = np.logaddexp(total, log_term)
+    for m in range(cap):
+        term = log_term(m, log_half)
+        total = np.logaddexp(total, term)
         log_ratio = log_z - math.log((m + 1.0) * (m + 1.0 + nu))
         if np.all(log_ratio < 0.0) and np.all(
-                log_term + log_ratio - np.log1p(-np.exp(log_ratio)) < total + log_eps):
+                term + log_ratio - np.log1p(-np.exp(log_ratio)) < total + log_eps):
             return total
-    raise ValueError(
-        f"log_bessel_i series for nu = {nu} did not converge in "
-        f"{_SERIES_MAX_TERMS} terms at x up to {float(np.max(x))}")
+    raise failure
 
 
 def _log_i_hankel(nu: float, x: np.ndarray) -> np.ndarray:

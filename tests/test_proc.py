@@ -12,12 +12,14 @@ import scipy.integrate as si
 import scipy.special as sp
 import scipy.stats as st
 
-from chientropy.dist import NoncentralChiSq, ScaledLaw
+from chientropy.dist import CentralChiSq, NoncentralChiSq, ScaledLaw
 from chientropy.entropy import (
+    REASON_NONCONVERGENCE,
     REASON_PARAMETER,
     EntropySpec,
     entropy,
     gamma_entropy_closed_form,
+    lambda_convergence_study,
 )
 from chientropy.proc import (
     BesselParams,
@@ -289,3 +291,74 @@ def test_row_types_reachable_from_package_root():
     for name in ("CurveRow", "LambdaRow", "BZeroRow"):
         assert name in chientropy.__all__
         assert getattr(chientropy, name) is not None
+
+
+# One spec per functional, plus excluded orders (undefined/parameter) and
+# an order the gate refuses for k < 1.75 (undefined/existence-gate).
+SIX_SPECS = [
+    EntropySpec.shannon(),
+    EntropySpec.renyi(2.0),
+    EntropySpec.renyi(0.6),
+    EntropySpec.gen_renyi(0.5, 2.0),
+    EntropySpec.gen_renyi_diag(1.7),
+    EntropySpec.tsallis(0.5),
+    EntropySpec.sharma_mittal(2.0, 3.0),
+    EntropySpec.sharma_mittal(0.7, 1.5),
+    EntropySpec.tsallis(1.0),
+    EntropySpec.renyi(8.0),
+]
+
+
+def _assert_same(batched, solo, where):
+    # a batched row is the law's solo entropy(): same state and reason,
+    # value within 1e-14 relative
+    assert (batched.state, batched.reason) == (solo.state, solo.reason), where
+    if solo.is_finite:
+        assert abs(batched.value - solo.value) <= 1e-14 * abs(solo.value), where
+
+
+@pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: f"{s.kind.value}-{s.alpha}-{s.beta}")
+def test_curves_and_studies_match_per_law_entropy(spec):
+    # CIR rows: b t from 1e-3 to 2000, with subnormal noncentralities at
+    # t = 720 and 744 and lam = 0 (the closed form) from b t = 745.2 on;
+    # r0 = a/b and r0 != a/b.  Bessel rows from t = 1e-6 (lam = 4e6).
+    curves = [
+        (CIRParams(1.0, 1.0, 1.0, 1.0),
+         (1e-3, 0.1, 1.0, 5.0, 50.0, 700.0, 720.0, 744.0, 800.0, 2000.0)),
+        (CIRParams(1.5, 0.7, 1.2, 3.0), (0.01, 0.5, 3.0, 30.0, 1000.0, 1100.0)),
+        (BesselParams(1.0, 1.0, 1.0), (1e-6, 1e-3, 1.0, 100.0, 1e4)),
+        (BesselParams(2.5, 1.3, 0.4), (0.05, 2.0, 60.0)),
+    ]
+    for params, times in curves:
+        marginal = cir_marginal if isinstance(params, CIRParams) else bessel_marginal
+        for row in entropy_curve(params, TimeGrid(times), spec):
+            _assert_same(row.result, entropy(marginal(params, row.t), spec), (params, row.t))
+
+    a, sigma, r0, t = 1.5, 1.2, 0.8, 2.0
+    reference = entropy(bessel_marginal(BesselParams(a, sigma, r0), t), spec)
+    for row in b_to_zero_study(a, sigma, r0, t, [1.0, 0.3, 0.1, 1e-3, 1e-6], spec):
+        solo = entropy(cir_marginal(CIRParams(a, row.b, sigma, r0), t), spec)
+        _assert_same(row.result, solo, row.b)
+        if solo.is_finite and reference.is_finite:
+            assert abs(row.gap_to_bessel - abs(solo.value - reference.value)) <= 1e-14
+
+    for k in (3.0, 1.5):
+        central = entropy(CentralChiSq(k), spec)
+        for row in lambda_convergence_study(k, spec, [50.0, 1.0, 0.01, 1e-8, 0.0]):
+            solo = entropy(NoncentralChiSq(k, row.lam), spec)
+            _assert_same(row.result, solo, (k, row.lam))
+            if solo.is_finite and central.is_finite:
+                assert abs(row.gap_to_central - abs(solo.value - central.value)) <= 1e-14
+
+
+def test_failing_law_leaves_the_rest_of_a_study_alone():
+    # NC(2e4, 100) is undefined/non-convergence on its own (its
+    # log-Bessel series cannot converge within the term cap), while
+    # NC(2e4, 1) is finite; in one study the first row must not take
+    # the second down with it.
+    spec = EntropySpec.shannon()
+    first, second = lambda_convergence_study(2e4, spec, [100.0, 1.0])
+    assert first.result.is_undefined
+    assert first.result.reason == REASON_NONCONVERGENCE
+    assert second.result.is_finite
+    assert second.result == entropy(NoncentralChiSq(2e4, 1.0), spec)

@@ -11,6 +11,7 @@ from chientropy.quad import (
     NonConvergence,
     QuadConfig,
     integrate_halfline,
+    integrate_rows,
 )
 from chientropy.specfun import log_gamma
 from support import gamma_log_integral
@@ -118,3 +119,38 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(split_point=-2.0)
 
+
+
+def test_many_laws_in_one_sweep_match_each_law_alone():
+    # Gamma kernels x^(nu-1) e^(-mu x) and their log rows on (lo, inf),
+    # with three different tanh-sinh starts.  Three laws converge at
+    # step 1/32; the two left, both of the latest start, go on without
+    # the nodes below it; one of them, x^(-1/2), diverges.  Each law
+    # must get what it gets alone: the same values, error estimates and
+    # node counts, or the same NonConvergence.
+    nu = np.array([2.5, 30.0, 4.0, 1.0, 0.5])
+    mu = np.array([1.0, 0.05, 0.5, 1.0, 0.0])
+    lo = [1e-20, 1e-3, 1e-30, 0.0, 0.2]
+    centre = [2.5, 0.3, 8.0, 1.5, 1.0]
+    scale = [1.6, 0.3, 2.9, 1.0, 1.0]
+    offset = [[0.0, 0.0], [0.1, 0.0], [0.0, -0.2], [0.0, 0.0], [0.0, 0.0]]
+    cfg = QuadConfig(max_subdivisions=64)
+
+    def g(x, laws):
+        p, m = nu[laws, None], mu[laws, None]
+        f = x ** (p - 1.0) * np.exp(-m * x)
+        return np.stack([f, f * np.log(x)], axis=1)
+
+    together = integrate_rows(g, lo, centre, scale, cfg, offset=offset)
+    assert isinstance(together[-1], NonConvergence)
+    for i, got in enumerate(together):
+        (alone,) = integrate_rows(lambda x, laws: g(x, laws + i), lo[i], centre[i],
+                                  scale[i], cfg, offset=[offset[i]])
+        if isinstance(alone, NonConvergence):
+            assert isinstance(got, NonConvergence)
+            assert (str(got), got.value, got.error_estimate, got.subdivisions_used) == \
+                (str(alone), alone.value, alone.error_estimate, alone.subdivisions_used)
+        else:
+            assert got == alone
+    want = math.exp(log_gamma(30.0) - 30.0 * math.log(0.05)) + 0.1
+    assert together[1][0].value == pytest.approx(want, rel=1e-10)

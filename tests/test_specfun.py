@@ -103,6 +103,27 @@ def test_log_bessel_i_series_cap_raises():
         log_bessel_i(1e5, 5e6)
 
 
+def test_log_bessel_i_series_refuses_before_summing(monkeypatch):
+    # Where the terms of the largest x peak past the 20,000-term cap
+    # (nu = 9999, x = 64358: near m = 27,556), or peak before it but
+    # cannot fall by the required 1e-17 within it (nu = 7999,
+    # x = 45921.2: near m = 19,329), the series raises before it sums a
+    # single term.  At nu = 7999, x = 35076 it converges within the
+    # cap and must still be summed.
+    from chientropy import specfun
+
+    summed = []
+    logaddexp = np.logaddexp
+    monkeypatch.setattr(specfun.np, "logaddexp",
+                        lambda *args: summed.append(1) or logaddexp(*args))
+    for nu, x in ((9999.0, 64358.0), (7999.0, 45921.2)):
+        with pytest.raises(ValueError, match="did not converge in 20000 terms"):
+            _log_i_series(nu, np.array([1.0, x]))
+        assert not summed
+    assert np.isfinite(_log_i_series(7999.0, np.array([35076.0]))[0])
+    assert summed
+
+
 def test_log_bessel_i_vectorized_and_scalar():
     xs = np.array([0.5, 3.0, 40.0, 500.0])
     vec = log_bessel_i(1.5, xs)
