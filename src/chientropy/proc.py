@@ -164,10 +164,11 @@ def entropy_curve(params: CIRParams | BesselParams, grid: TimeGrid,
                   ) -> list[CurveRow]:
     """Entropy of the marginal law at each grid time.
 
-    Each row is ``entropy(marginal, spec, config)``.  The marginals
-    share k, so every one that needs quadrature is integrated in the
-    same sweep: one log-density evaluation per quadrature level covers
-    the nodes of every time not yet converged.
+    Each row is ``entropy(marginal, spec, config)``, to 1e-14 relative
+    in value (bit-identical where ``ive`` gives log I).  The marginals
+    share k, so those that need quadrature are integrated together: one
+    log-density evaluation per quadrature level covers the nodes of
+    every time not yet converged whose nodes start at the same point.
     """
     if isinstance(params, CIRParams):
         marginal = cir_marginal
@@ -219,7 +220,7 @@ def b_to_zero_study(a: float, sigma: float, r0: float, t: float,
     approaches the squared Bessel values, so the entropies converge to
     the entropy of the Bessel marginal at the same t; each row carries
     the remaining gap when both sides are finite.  The Bessel marginal
-    and the CIR marginals share k and are integrated in one sweep.
+    and the CIR marginals share k and are integrated together.
     """
     grid = [float(b) for b in b_grid]
     if not grid:

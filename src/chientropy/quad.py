@@ -19,8 +19,9 @@ Both are trapezoid sums in u over fixed ranges.  Each level halves the
 step and evaluates only its new nodes, in one vectorised call, so one
 log-density sweep per level can feed every integral of a functional,
 one row each, for many laws at once, one law per array row
-(:func:`integrate_rows`).  The parts of the nodes that depend on u
-alone are built once per level and kept between calls.  A row has
+(:func:`integrate_rows`); the parts of the nodes that depend on u
+alone are formed once per level for all of them, and kept for the
+coarse levels.  A row has
 converged when two successive levels, from step 1/8 on, agree to
 ``max(rel_tol * |I|, abs_tol * int |g|)``; the floor is relative to the
 integrand's own size, so a tiny integral is still resolved and a row
@@ -141,15 +142,13 @@ class QuadResult:
     converged: bool
 
 
-@functools.lru_cache(maxsize=128)
 def _tables(start: float, level: int) -> tuple:
     """The parts of the nodes new at ``level`` that depend on u alone.
 
     For the tanh-sinh piece, on u in (start, _TS_CENTRE_END): the count
     of u < 0, e = e^(-2|v|) with v = (pi/2) sinh u, 1 + e,
     (pi/2) cosh u * 2 and (1 + e)^2; for the exp-sinh piece:
-    e^((pi/2) sinh u) and (pi/2) cosh u.  The arrays are shared between
-    calls, read-only.
+    e^((pi/2) sinh u) and (pi/2) cosh u.
     """
     h = _FIRST_STEP / 2 ** level
 
@@ -166,15 +165,27 @@ def _tables(start: float, level: int) -> tuple:
     return (int(np.count_nonzero(ts < 0.0)),) + tables
 
 
+# Forming a table costs about as much as the rest of a level's
+# bookkeeping, so the tables of the first _KEPT_LEVELS levels, where most
+# laws converge, are kept for the life of the process.  A start is a
+# multiple of _FIRST_STEP in [-6, -0.5], so at most 84 tables of up to
+# 1,088 nodes are kept, 0.53 MB in all.  At finer levels the integrand
+# costs far more per node than its table, which is formed afresh.
+_KEPT_LEVELS = 7
+_kept_tables = functools.lru_cache(maxsize=None)(_tables)
+
+
 def _level_nodes(start: float, level: int, lo, centre, width, scale):
     """Abscissae and weights dx/du of the nodes new at ``level``.
 
-    ``lo``, ``centre``, ``width = centre - lo`` and ``scale`` are
-    columns, one law per row.  Tanh-sinh comes first and exp-sinh last,
-    so that the first and the last node of level 0 are the outer ends,
-    at lo and far out.
+    The tanh-sinh piece runs on u in (start, _TS_CENTRE_END).  ``lo``,
+    ``centre``, ``width = centre - lo`` and ``scale`` are columns, one
+    law per row.  Tanh-sinh comes first and exp-sinh last, so that the
+    first and the last node of level 0 are the outer ends, at lo and
+    far out.
     """
-    n_neg, e, opp, dcosh, opp2, grow, ecosh = _tables(start, level)
+    n_neg, e, opp, dcosh, opp2, grow, ecosh = (
+        _kept_tables if level < _KEPT_LEVELS else _tables)(start, level)
     d = width * e / opp
     t = scale * grow
     return (np.concatenate([lo + d[:, :n_neg], centre - d[:, n_neg:], centre + t], axis=1),
@@ -214,76 +225,65 @@ def integrate_rows(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, centre
     for a part of the half line integrated in closed form.
 
     Every law gets the nodes, stopping rule and error estimate it would
-    get alone: the node tables are built once per level, from the lowest
-    start of the tanh-sinh piece, each law's sums skip the nodes below
-    its own start, and a law leaves the sweep at the level where its own
-    rows converge.  Returns, per law, the list of its converged
-    :class:`QuadResult` (one per row) or the :class:`NonConvergence` it
-    met; an exception raised by ``g``, and :class:`IntegrandFailure`,
-    propagate.
+    get alone.  The laws whose tanh-sinh pieces start at the same u (as
+    most laws of a family do) share one sweep: at each level their new
+    nodes are formed together, from one table of the parts that depend
+    on u alone, and ``g`` is called once for all of them; a law leaves
+    the sweep at the level where its own rows converge.  Returns, per
+    law, the list of its converged :class:`QuadResult` (one per row) or
+    the :class:`NonConvergence` it met; an exception raised by ``g``,
+    and :class:`IntegrandFailure`, propagate.
     """
     cfg = config if config is not None else QuadConfig()
-    lo, centre, scale = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, centre, scale))
-    starts = [_start(a, b) for a, b in zip(lo.tolist(), centre.tolist())]
-    start = min(starts)
+    lo, centre, scale = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                              for v in (lo, centre, scale)))
+    offset = np.atleast_2d(np.asarray(offset, dtype=float))
+    offset = np.broadcast_to(offset, (lo.size, offset.shape[1]))
+    starts = np.array([_start(a, b) for a, b in zip(lo.tolist(), centre.tolist())])
     outcomes = [None] * lo.size
-    # Per law still refined: its index, its columns, the nodes of level 0
-    # below its own start (2^(level-1) times as many later) and its
-    # node count.
-    laws = np.arange(lo.size)
+    for start in sorted(set(starts.tolist())):
+        laws = np.flatnonzero(starts == start)
+        _sweep(g, start, laws, lo[laws], centre[laws], scale[laws], offset[laws], cfg,
+               outcomes)
+    return outcomes
+
+
+def _sweep(g, start: float, laws, lo, centre, scale, offset, cfg: QuadConfig,
+           outcomes: list) -> None:
+    """Refine the laws ``laws``, of one tanh-sinh start, level by level.
+
+    Writes each law's outcome into ``outcomes`` as it leaves the sweep.
+    """
     cols = (lo[:, None], centre[:, None], (centre - lo)[:, None], scale[:, None])
-    below = np.array([round((s - start) / _FIRST_STEP) for s in starts])
-    aligned = not below.any()
-    used = np.zeros(lo.size, dtype=int)
-    offset = np.asarray(offset, dtype=float)
-    level, best = 0, math.inf
+    level, used, best = 0, 0, math.inf
     while True:
         h = _FIRST_STEP / 2 ** level
         x, w = _level_nodes(start, level, *cols)
         terms = _evaluate(g, x, laws) * w[:, None, :]
-        skip = below * 2 ** max(level - 1, 0)
-        used += x.shape[1] - skip
-        if aligned:
-            total, total_abs = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
-        else:
-            total, total_abs = np.empty(terms.shape[:2]), np.empty(terms.shape[:2])
-            for s in set(skip.tolist()):
-                mine = skip == s
-                own = terms[mine, :, s:]
-                total[mine] = own.sum(axis=-1)
-                total_abs[mine] = np.abs(own).sum(axis=-1)
+        used += x.shape[1]
         if level == 0:
-            offset_abs = np.abs(offset)
-            body, size = h * total, h * total_abs
-            first = terms[np.arange(laws.size), :, skip]
-            end_terms = np.maximum(np.abs(first), np.abs(terms[:, :, -1]))
+            body = h * terms.sum(axis=-1)
+            size = h * np.abs(terms).sum(axis=-1)
+            end_terms = np.maximum(np.abs(terms[:, :, 0]), np.abs(terms[:, :, -1]))
         else:
-            body = 0.5 * body + h * total
-            size = 0.5 * size + h * total_abs
+            body = 0.5 * body + h * terms.sum(axis=-1)
+            size = 0.5 * size + h * np.abs(terms).sum(axis=-1)
         value = offset + body
-        size_all = offset_abs + size
+        size_all = np.abs(offset) + size
         err = np.abs(value - best)
         tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
         last = 2 ** (level + 1) > cfg.max_subdivisions
-        done = np.zeros(laws.size, dtype=bool)
-        if level >= _MIN_LEVEL:
-            done = (err <= tol).all(axis=1) & (size_all > 0.0).all(axis=1)
+        done = (level >= _MIN_LEVEL) & (err <= tol).all(axis=1) & (size_all > 0.0).all(axis=1)
         if last or done.any():
             for i in np.flatnonzero(done | last):
                 outcomes[laws[i]] = _outcome(bool(done[i]), value[i], err[i], tol[i],
-                                             size_all[i], end_terms[i], int(used[i]))
+                                             size_all[i], end_terms[i], used)
             if last or done.all():
-                return outcomes
+                return
             keep = ~done
-            offset, offset_abs = (np.broadcast_to(a, value.shape)[keep]
-                                  for a in (offset, offset_abs))
-            laws, below, used, body, size, end_terms, value = (
-                a[keep] for a in (laws, below, used, body, size, end_terms, value))
+            laws, offset, body, size, end_terms, value = (
+                a[keep] for a in (laws, offset, body, size, end_terms, value))
             cols = tuple(c[keep] for c in cols)
-            # the union grid starts at the lowest start still refined
-            start += _FIRST_STEP * int(below.min())
-            below = below - below.min()
-            aligned = not below.any()
         best = value
         level += 1
 

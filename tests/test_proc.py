@@ -32,6 +32,7 @@ from chientropy.proc import (
     cir_marginal,
     entropy_curve,
 )
+from chientropy.quad import QuadConfig
 
 
 def test_cir_marginal_parameters():
@@ -317,11 +318,14 @@ def _assert_same(batched, solo, where):
         assert abs(batched.value - solo.value) <= 1e-14 * abs(solo.value), where
 
 
+@pytest.mark.parametrize("config", [None, QuadConfig(split_point=2.0)],
+                         ids=["split-at-mean", "split-at-2"])
 @pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: f"{s.kind.value}-{s.alpha}-{s.beta}")
-def test_curves_and_studies_match_per_law_entropy(spec):
+def test_curves_and_studies_match_per_law_entropy(spec, config):
     # CIR rows: b t from 1e-3 to 2000, with subnormal noncentralities at
     # t = 720 and 744 and lam = 0 (the closed form) from b t = 745.2 on;
     # r0 = a/b and r0 != a/b.  Bessel rows from t = 1e-6 (lam = 4e6).
+    # A pinned split point gives every law of a sweep the same centre.
     curves = [
         (CIRParams(1.0, 1.0, 1.0, 1.0),
          (1e-3, 0.1, 1.0, 5.0, 50.0, 700.0, 720.0, 744.0, 800.0, 2000.0)),
@@ -331,21 +335,22 @@ def test_curves_and_studies_match_per_law_entropy(spec):
     ]
     for params, times in curves:
         marginal = cir_marginal if isinstance(params, CIRParams) else bessel_marginal
-        for row in entropy_curve(params, TimeGrid(times), spec):
-            _assert_same(row.result, entropy(marginal(params, row.t), spec), (params, row.t))
+        for row in entropy_curve(params, TimeGrid(times), spec, config):
+            _assert_same(row.result, entropy(marginal(params, row.t), spec, config),
+                         (params, row.t))
 
     a, sigma, r0, t = 1.5, 1.2, 0.8, 2.0
-    reference = entropy(bessel_marginal(BesselParams(a, sigma, r0), t), spec)
-    for row in b_to_zero_study(a, sigma, r0, t, [1.0, 0.3, 0.1, 1e-3, 1e-6], spec):
-        solo = entropy(cir_marginal(CIRParams(a, row.b, sigma, r0), t), spec)
+    reference = entropy(bessel_marginal(BesselParams(a, sigma, r0), t), spec, config)
+    for row in b_to_zero_study(a, sigma, r0, t, [1.0, 0.3, 0.1, 1e-3, 1e-6], spec, config):
+        solo = entropy(cir_marginal(CIRParams(a, row.b, sigma, r0), t), spec, config)
         _assert_same(row.result, solo, row.b)
         if solo.is_finite and reference.is_finite:
             assert abs(row.gap_to_bessel - abs(solo.value - reference.value)) <= 1e-14
 
     for k in (3.0, 1.5):
-        central = entropy(CentralChiSq(k), spec)
-        for row in lambda_convergence_study(k, spec, [50.0, 1.0, 0.01, 1e-8, 0.0]):
-            solo = entropy(NoncentralChiSq(k, row.lam), spec)
+        central = entropy(CentralChiSq(k), spec, config)
+        for row in lambda_convergence_study(k, spec, [50.0, 1.0, 0.01, 1e-8, 0.0], config):
+            solo = entropy(NoncentralChiSq(k, row.lam), spec, config)
             _assert_same(row.result, solo, (k, row.lam))
             if solo.is_finite and central.is_finite:
                 assert abs(row.gap_to_central - abs(solo.value - central.value)) <= 1e-14

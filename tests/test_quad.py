@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from chientropy.quad import (
     IntegrandFailure,
@@ -120,14 +121,13 @@ def test_config_validation():
         QuadConfig(split_point=-2.0)
 
 
-
 def test_many_laws_in_one_sweep_match_each_law_alone():
     # Gamma kernels x^(nu-1) e^(-mu x) and their log rows on (lo, inf),
-    # with three different tanh-sinh starts.  Three laws converge at
-    # step 1/32; the two left, both of the latest start, go on without
-    # the nodes below it; one of them, x^(-1/2), diverges.  Each law
-    # must get what it gets alone: the same values, error estimates and
-    # node counts, or the same NonConvergence.
+    # with three different tanh-sinh starts, so three sweeps.  Three
+    # laws converge at step 1/32; the two of the latest start reach the
+    # budget, and one of them, x^(-1/2), diverges.  Each law must get
+    # what it gets alone: the same values, error estimates and node
+    # counts, or the same NonConvergence.
     nu = np.array([2.5, 30.0, 4.0, 1.0, 0.5])
     mu = np.array([1.0, 0.05, 0.5, 1.0, 0.0])
     lo = [1e-20, 1e-3, 1e-30, 0.0, 0.2]
@@ -146,11 +146,39 @@ def test_many_laws_in_one_sweep_match_each_law_alone():
     for i, got in enumerate(together):
         (alone,) = integrate_rows(lambda x, laws: g(x, laws + i), lo[i], centre[i],
                                   scale[i], cfg, offset=[offset[i]])
-        if isinstance(alone, NonConvergence):
-            assert isinstance(got, NonConvergence)
-            assert (str(got), got.value, got.error_estimate, got.subdivisions_used) == \
-                (str(alone), alone.value, alone.error_estimate, alone.subdivisions_used)
-        else:
-            assert got == alone
+        _assert_same_outcome(got, alone)
     want = math.exp(log_gamma(30.0) - 30.0 * math.log(0.05)) + 0.1
     assert together[1][0].value == pytest.approx(want, rel=1e-10)
+
+
+def test_a_scalar_centre_and_scale_serve_every_law():
+    # One centre and one scale for five laws: four share a tanh-sinh
+    # start, each with its own lo and offset, and two of them leave
+    # their sweep a level before the other two; the fifth starts
+    # elsewhere and is swept apart.  Each law still gets what it gets
+    # alone, Gamma(nu, mu lo) / mu^nu plus its offset.
+    nu = np.array([2.5, 0.6, 0.5, 8.0, 4.0])
+    mu = np.array([1.0, 1.0, 1.0, 3.0, 1.0])
+    lo = [1e-20, 2e-20, 3e-6, 1e-9, 1e-3]
+    offset = [[0.25], [0.5], [0.0], [-1.0], [0.0]]
+
+    def g(x, laws):
+        return (x ** (nu[laws, None] - 1.0) * np.exp(-mu[laws, None] * x))[:, None, :]
+
+    together = integrate_rows(g, lo, 2.0, 1.5, offset=offset)
+    assert len({res[0].subdivisions_used for res in together[:4]}) == 2
+    for i, got in enumerate(together):
+        (alone,) = integrate_rows(lambda x, laws: g(x, laws + i), lo[i], 2.0, 1.5,
+                                  offset=[offset[i]])
+        _assert_same_outcome(got, alone)
+        want = math.gamma(nu[i]) * gammaincc(nu[i], mu[i] * lo[i]) / mu[i] ** nu[i]
+        assert got[0].value == pytest.approx(want + offset[i][0], rel=1e-12)
+
+
+def _assert_same_outcome(got, alone):
+    if isinstance(alone, NonConvergence):
+        assert isinstance(got, NonConvergence)
+        assert (str(got), got.value, got.error_estimate, got.subdivisions_used) == \
+            (str(alone), alone.value, alone.error_estimate, alone.subdivisions_used)
+    else:
+        assert got == alone
