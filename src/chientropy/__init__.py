@@ -1,4 +1,10 @@
-"""Entropies of chi-squared family laws and of CIR / squared Bessel marginals."""
+"""Entropies of chi-squared family laws and of CIR / squared Bessel marginals.
+
+``chientropy.entropy`` is the function: it is bound over the submodule
+attribute of the same name, so ``import chientropy.entropy as E`` gives
+the function too.  The module itself is ``sys.modules["chientropy.entropy"]``,
+which is where a patch of one of its names has to go.
+"""
 
 from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, ScaledLaw
 from .entropy import (
@@ -7,10 +13,8 @@ from .entropy import (
     EntropySpec,
     GateDecision,
     LambdaRow,
-    effective_dof,
     entropy,
     existence_gate,
-    gamma_entropy_closed_form,
     lambda_convergence_study,
     scale_transform,
 )
@@ -34,21 +38,20 @@ from .quad import (
     QuadResult,
     integrate_halfline,
 )
-from .specfun import digamma, log_bessel_i, log_gamma
+from .specfun import log_bessel_i
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CentralChiSq", "NoncentralChiSq", "GammaLaw", "ScaledLaw", "Law",
     "EntropyKind", "EntropySpec", "EntropyResult", "GateDecision",
-    "effective_dof", "existence_gate", "entropy",
-    "scale_transform", "gamma_entropy_closed_form",
+    "existence_gate", "entropy", "scale_transform",
     "lambda_convergence_study", "LambdaRow",
     "CIRParams", "BesselParams", "CurveRow", "BZeroRow", "TimeGrid",
     "cir_marginal", "bessel_marginal", "entropy_curve",
     "cir_limit_entropy", "bessel_limit_entropy", "b_to_zero_study",
     "QuadConfig", "QuadResult", "NonConvergence", "IntegrandFailure",
     "integrate_halfline",
-    "log_gamma", "digamma", "log_bessel_i",
+    "log_bessel_i",
     "__version__",
 ]

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import gammaln
 
-from .specfun import log_bessel_i, log_gamma
+from .specfun import log_bessel_i
 
 __all__ = [
     "CentralChiSq",
@@ -96,7 +97,7 @@ class _Law:
             arr = arr / c
         h = 0.5 * k
         if lam == 0.0:
-            out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - log_gamma(h)
+            out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - gammaln(h)
         else:
             out = _nc_log_pdf(arr, k, lam, math.log(lam), math.sqrt(lam))
         if c != 1.0:

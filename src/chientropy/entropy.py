@@ -38,11 +38,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import gammaln, psi
 
-from .dist import CentralChiSq, GammaLaw, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
+from .dist import CentralChiSq, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
 from .quad import NonConvergence, QuadConfig, QuadResult, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
-from .specfun import digamma, log_gamma
 
 __all__ = [
     "EntropyKind",
@@ -52,11 +52,9 @@ __all__ = [
     "REASON_GATE",
     "REASON_PARAMETER",
     "REASON_NONCONVERGENCE",
-    "effective_dof",
     "existence_gate",
     "entropy",
     "scale_transform",
-    "gamma_entropy_closed_form",
     "lambda_convergence_study",
     "LambdaRow",
 ]
@@ -230,11 +228,6 @@ class GateDecision:
         return self.ok
 
 
-def effective_dof(law: Law) -> float:
-    """Degrees of freedom governing the origin singularity: k of c NC(k, lam)."""
-    return _triple_of(law)[0]
-
-
 def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
     """Existence condition for ``spec`` on a law with dof ``k``.
 
@@ -284,10 +277,10 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     noncentral law the terms -(x + lam)/2 and log I(sqrt(lam x)) are
     each about lam, or 4 mean^2/var, and the power x^(k/2-1) and
     log Gamma(k/2) about (k/2) |log mean|.  A relative error d of f
-    moves int f^a by a d int f^a, and int f^a log f by
-    d int |f^a (1 + a log f)|, which a "slope" row bounds by the smooth
-    int f^a sqrt(2 + 2 (a log f)^2).  A power integral that is not
-    positive is a NonConvergence.
+    moves int f^a by d a int f^a, and int f^a log f by at most
+    d int |f^a (1 + a log f)| <= d (int f^a + a int |f^a log f|): the
+    value of the (a, "power") row, 1 at a = 1, plus a times the
+    ``magnitude`` of the log row.
     """
     cfg = config if config is not None else QuadConfig()
     triples = [_triple_of(law) for law in laws]
@@ -302,8 +295,7 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         try:
             if not noncentral:
                 return laws[0].log_pdf(x)
-            cols = columns if i.size == len(laws) else [col[i] for col in columns]
-            return _nc_log_pdf(x, k, *cols)
+            return _nc_log_pdf(x, k, *[col[i] for col in columns])
         except ValueError as exc:
             raise NonConvergence(str(exc), math.nan, math.inf, 0) from exc
 
@@ -313,30 +305,21 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     x0 = [1e-17 * k * (v / m) * (v / m / m) / 8.0 for m, v in zip(mean, var)]
     log_x0 = [math.log(x) for x in x0]
     todo = [row for row in rows if row != (1.0, "power")]
-    all_rows = todo + [(a, "slope") for a, kind in todo if kind == "log"]
 
     def origin(log_c, log_x0, a, kind):
         q = a * p + 1.0
         part = math.exp(a * log_c + q * log_x0 - math.log(q))
         if kind == "power":
             return part
-        if kind == "log":
-            return part * (log_c + p * (log_x0 - 1.0 / q))
-        # an upper bound: |log f| <= |log C| + |p| |log x| on (0, x0)
-        spread = abs(log_c) + abs(p) * (abs(log_x0) + 1.0 / q)
-        return math.sqrt(2.0) * part * (1.0 + a * spread)
+        return part * (log_c + p * (log_x0 - 1.0 / q))
 
     def g(x, i):
         lp = log_f(x, i)
-        out = np.empty((x.shape[0], len(all_rows), x.shape[1]))
+        out = np.empty((x.shape[0], len(todo), x.shape[1]))
         with np.errstate(over="ignore"):
-            for r, (a, kind) in enumerate(all_rows):
+            for r, (a, kind) in enumerate(todo):
                 w = np.exp(a * lp)
-                if kind == "power":
-                    out[:, r] = w
-                else:
-                    factor = lp if kind == "log" else np.sqrt(2.0 + 2.0 * (a * lp) ** 2)
-                    out[:, r] = np.where(w > 0.0, w * factor, 0.0)
+                out[:, r] = w if kind == "power" else np.where(w > 0.0, w * lp, 0.0)
         return out
 
     try:
@@ -345,7 +328,7 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         results = integrate_rows(
             g, x0, mean if cfg.split_point is None else cfg.split_point,
             [math.sqrt(v) for v in var], cfg,
-            offset=[[origin(lc, lx, a, kind) for a, kind in all_rows]
+            offset=[[origin(lc, lx, a, kind) for a, kind in todo]
                     for lc, lx in zip(log_c, log_x0)])
     except NonConvergence as exc:
         if len(laws) == 1:
@@ -354,17 +337,14 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
 
     out = []
     for res, m, v in zip(results, mean, var):
-        if not isinstance(res, NonConvergence) and any(
-                r.value <= 0.0 for (_, kind), r in zip(todo, res) if kind == "power"):
-            res = NonConvergence("a power integral is not positive", math.nan, math.inf, 0)
         if not isinstance(res, NonConvergence):
             d = 8.0 * _EPS * (1.0 + m * m / v + 0.5 * k * abs(math.log(m)))
-            slopes = iter(res[len(todo):])
-            done = iter([replace(r, error_estimate=r.error_estimate + d * (
-                             next(slopes).value if kind == "log" else a * abs(r.value)))
-                         for (a, kind), r in zip(todo, res)])
-            res = [QuadResult(1.0, 0.0, 0, True) if row == (1.0, "power") else next(done)
-                   for row in rows]
+            got = {(1.0, "power"): QuadResult(1.0, 0.0, 0, True, 1.0), **dict(zip(todo, res))}
+            for a, kind in todo:
+                r = got[a, kind]
+                slack = got[a, "power"].value + a * r.magnitude if kind == "log" else a * r.value
+                got[a, kind] = replace(r, error_estimate=r.error_estimate + d * slack)
+            res = [got[row] for row in rows]
         out.append(res)
     return out
 
@@ -482,6 +462,8 @@ def _entropy_quadrature(laws: list, family: EntropyKind, a: float, b: float,
                    + abs(num.value) * den.error_estimate / den.value) / den.value
             out.append(_assemble(family, a, b, (-num.value / den.value, err)))
         else:
+            # a power row sums terms >= 0, so its value is its magnitude,
+            # which integrate_rows only accepts when it is positive
             out.append(_assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
                                                  for r in res]))
     return out
@@ -524,7 +506,7 @@ def _gamma_log_integral_moment(shape: float, scale: float, a: float) -> float:
     and 0 exactly at a = 1 for shape > 1/2, where a(s-1)+1 is s.
     """
     g = a * (shape - 1.0) + 1.0
-    return (log_gamma(g) - a * log_gamma(shape)
+    return (gammaln(g) - a * gammaln(shape)
             + (1.0 - a) * math.log(scale) - g * math.log(a))
 
 
@@ -535,20 +517,12 @@ def _gamma_closed_form(s: float, theta: float, family: EntropyKind,
         # at a = 1 this is the Shannon entropy term for term: the gate
         # keeps s > 1/2, where s - 1, 1 + (s - 1) and g are exact
         g = a * (s - 1.0) + 1.0
-        value = (math.log(theta) + log_gamma(s) + (1.0 / a + (s - 1.0))
-                 + (1.0 - s) * (digamma(g) - math.log(a)))
+        value = (math.log(theta) + gammaln(s) + (1.0 / a + (s - 1.0))
+                 + (1.0 - s) * (psi(g) - math.log(a)))
         return _assemble(family, a, b, (value, None))
     orders = (a, b) if family is EntropyKind.GEN_RENYI else (a,)
     return _assemble(family, a, b, *[(_gamma_log_integral_moment(s, theta, o), None)
                                      for o in orders])
-
-
-def gamma_entropy_closed_form(shape: float, scale: float,
-                              spec: EntropySpec) -> EntropyResult:
-    """Every functional of a GammaLaw in closed form (no quadrature).
-
-    Same as ``entropy(GammaLaw(shape, scale), spec)``, exclusions and gate included."""
-    return entropy(GammaLaw(shape, scale), spec)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import GammaLaw, NoncentralChiSq, ScaledLaw
+from .dist import GammaLaw, NoncentralChiSq, ScaledLaw, _require_positive
 from .entropy import (
     REASON_PARAMETER,
     EntropyKind,
@@ -64,13 +64,6 @@ def _check_feller(a: float, sigma: float) -> None:
             f"Feller condition 2a >= sigma^2 violated: a = {a}, sigma = {sigma}")
 
 
-def _positive(name: str, v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {v}")
-    return v
-
-
 @dataclass(frozen=True)
 class CIRParams:
     """Drift a, reversion b, volatility sigma, start r0; 2a >= sigma^2."""
@@ -81,10 +74,10 @@ class CIRParams:
     r0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _positive("a", self.a))
-        object.__setattr__(self, "b", _positive("b", self.b))
-        object.__setattr__(self, "sigma", _positive("sigma", self.sigma))
-        object.__setattr__(self, "r0", _positive("r0", self.r0))
+        object.__setattr__(self, "a", _require_positive("a", self.a))
+        object.__setattr__(self, "b", _require_positive("b", self.b))
+        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
+        object.__setattr__(self, "r0", _require_positive("r0", self.r0))
         _check_feller(self.a, self.sigma)
 
     @property
@@ -101,9 +94,9 @@ class BesselParams:
     y0: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _positive("a", self.a))
-        object.__setattr__(self, "sigma", _positive("sigma", self.sigma))
-        object.__setattr__(self, "y0", _positive("y0", self.y0))
+        object.__setattr__(self, "a", _require_positive("a", self.a))
+        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
+        object.__setattr__(self, "y0", _require_positive("y0", self.y0))
         _check_feller(self.a, self.sigma)
 
     @property
@@ -128,16 +121,9 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValueError(f"t must be finite and > 0, got {t}")
-    return t
-
-
 def cir_marginal(params: CIRParams, t: float) -> ScaledLaw:
     """Law of r_t as a scaled noncentral chi-squared."""
-    t = _check_time(t)
+    t = _require_positive("t", t)
     bt = params.b * t
     # c(t) = sigma^2 (1 - e^(-bt)) / (4b); expm1 keeps accuracy for small bt
     c = -params.sigma ** 2 * math.expm1(-bt) / (4.0 * params.b)
@@ -147,7 +133,7 @@ def cir_marginal(params: CIRParams, t: float) -> ScaledLaw:
 
 def bessel_marginal(params: BesselParams, t: float) -> ScaledLaw:
     """Law of Y_t as a scaled noncentral chi-squared."""
-    t = _check_time(t)
+    t = _require_positive("t", t)
     c = params.sigma ** 2 * t / 4.0
     lam = params.y0 / c
     return ScaledLaw(NoncentralChiSq(params.dof, lam), c)
@@ -229,7 +215,7 @@ def b_to_zero_study(a: float, sigma: float, r0: float, t: float,
         raise ValueError("b_grid entries must be finite and > 0")
     if any(b1 <= b2 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("b_grid must be strictly decreasing")
-    t = _check_time(t)
+    t = _require_positive("t", t)
 
     reference, *results = _entropies(
         [bessel_marginal(BesselParams(a, sigma, r0), t)]

@@ -134,12 +134,18 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """A converged integral; ``subdivisions_used`` counts the nodes."""
+    """A converged integral; ``subdivisions_used`` counts the nodes.
+
+    ``magnitude`` is the integral of ``|g|`` at the same level, closed-form
+    ``offset`` counted by its absolute value: the scale against which the
+    absolute tolerance and the rounding allowance are taken.
+    """
 
     value: float
     error_estimate: float
     subdivisions_used: int
     converged: bool
+    magnitude: float
 
 
 def _tables(start: float, level: int) -> tuple:
@@ -302,8 +308,8 @@ def _outcome(converged: bool, value, err, tol, size_all, end_terms, used: int):
             subdivisions_used=used)
     if converged:
         return [QuadResult(value=float(v), error_estimate=float(e),
-                           subdivisions_used=used, converged=True)
-                for v, e in zip(value, err + _ROUNDING * size_all)]
+                           subdivisions_used=used, converged=True, magnitude=float(s))
+                for v, e, s in zip(value, err + _ROUNDING * size_all, size_all)]
     r = int(np.argmax(err - tol))
     return NonConvergence(
         "half-line quadrature did not converge: error estimate above "

@@ -1,10 +1,10 @@
-"""Log-space special functions used by the density and entropy layers.
+"""The log-space modified Bessel function used by the density layer.
 
-Everything here is numerically oriented: densities of the chi-squared
-family involve ``Gamma``, ``psi`` and the modified Bessel function
-``I_nu``, and the entropy integrands need them evaluated in log space so
-that arguments like ``x = 1e8`` or orders like ``nu = 100`` do not
-overflow.  The log-Bessel evaluation has one route,
+Noncentral chi-squared densities involve ``I_nu``, and the entropy
+integrands need it in log space so that arguments like ``x = 1e8`` or
+orders like ``nu = 100`` do not overflow (``log Gamma`` and ``psi`` are
+``scipy.special.gammaln`` and ``psi``, called directly).  The
+log-Bessel evaluation has one route,
 ``log(ive(nu, x)) + x`` with the exponentially scaled library Bessel
 function, and two fallbacks where ``ive`` fails: the power series
 summed term by term in log space where it underflows (large order at
@@ -20,8 +20,6 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "log_gamma",
-    "digamma",
     "log_bessel_i",
 ]
 
@@ -34,24 +32,6 @@ _TINY = np.finfo(float).tiny
 
 # Relative tail size at which a series is considered converged.
 _TERM_EPS = 1e-17
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0, scalar or array."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("log_gamma requires finite x > 0")
-    out = _sp.gammaln(arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def digamma(x):
-    """psi(x) = d/dx log Gamma(x) for x > 0, scalar or array."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("digamma requires finite x > 0")
-    out = _sp.psi(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def _log_i_series(nu: float, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import special as _sp
 
 from chientropy.dist import CentralChiSq, NoncentralChiSq, _as_positive_x, _ret
-from chientropy.specfun import log_gamma
 
 _LOG2 = math.log(2.0)
 
@@ -81,7 +80,7 @@ def pdf_log_bounds(law: NoncentralChiSq, x):
         raise ValueError(f"pdf_log_bounds requires lam > 0, got lam = {law.lam}")
     arr, scalar = _as_positive_x(x)
     h = 0.5 * law.k
-    tail = (h - 1.0) * np.log(arr) - h * _LOG2 - log_gamma(h)
+    tail = (h - 1.0) * np.log(arr) - h * _LOG2 - _sp.gammaln(h)
     lower = -0.5 * (arr + law.lam) + tail
     upper = -0.25 * arr + 0.5 * law.lam + tail
     return _ret(lower, scalar), _ret(upper, scalar)

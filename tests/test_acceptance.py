@@ -12,13 +12,12 @@ import time
 
 import numpy as np
 
-from chientropy.dist import CentralChiSq, NoncentralChiSq, ScaledLaw
+from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw
 from chientropy.entropy import (
     REASON_GATE,
     EntropySpec,
     entropy,
     existence_gate,
-    gamma_entropy_closed_form,
 )
 from chientropy.proc import BesselParams, CIRParams, b_to_zero_study, bessel_marginal, cir_marginal, cir_limit_entropy
 from chientropy.quad import NonConvergence, QuadConfig, integrate_halfline
@@ -68,7 +67,7 @@ def test_criterion_01_closed_form_oracle_suite():
             if not existence_gate(k, spec):
                 continue
             got = entropy(law, spec, scaled_direct=True).value
-            want = gamma_entropy_closed_form(0.5 * k, 2.0, spec).value
+            want = entropy(GammaLaw(0.5 * k, 2.0), spec).value
             worst = max(worst, abs(got - want) / abs(want))
             checked += 1
     elapsed = time.monotonic() - start
@@ -136,7 +135,7 @@ def test_criterion_04_cir_long_time_limit():
 
 def test_criterion_05_bessel_shannon_divergence():
     params = BesselParams(1.0, 1.0, 1.0)
-    target = gamma_entropy_closed_form(2.0, 2.0, EntropySpec.shannon()).value
+    target = entropy(GammaLaw(2.0, 2.0), EntropySpec.shannon()).value
     raw = {}
     signed_gap = {}
     gap = {}

@@ -13,6 +13,7 @@ from chientropy.dist import (
     GammaLaw,
     NoncentralChiSq,
     ScaledLaw,
+    _triple_of,
     sample,
 )
 from chientropy.quad import integrate_halfline
@@ -198,6 +199,18 @@ def test_frozen_samples_and_log_pdf_bit_for_bit():
     for law, want in FROZEN_LOG_PDF:
         assert law.log_pdf(xs).tolist() == want, law
         assert [law.log_pdf(float(x)) for x in xs] == want, law
+
+
+def test_triple_of_every_law_type():
+    # (k, lam, c) with the law that of c NC(k, lam); k rules the origin
+    # singularity and the existence gate
+    assert _triple_of(CentralChiSq(3.0)) == (3.0, 0.0, 1.0)
+    assert _triple_of(NoncentralChiSq(4.0, 2.0)) == (4.0, 2.0, 1.0)
+    assert _triple_of(GammaLaw(2.5, 1.0)) == (5.0, 0.0, 0.5)
+    assert _triple_of(ScaledLaw(GammaLaw(2.5, 1.0), 0.1)) == (5.0, 0.0, 0.05)
+    for bad in (2.0, "chisq", None):
+        with pytest.raises(ValueError, match="unsupported law"):
+            _triple_of(bad)
 
 
 def test_parameter_validation():

@@ -15,10 +15,8 @@ from chientropy.entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
-    effective_dof,
     entropy,
     existence_gate,
-    gamma_entropy_closed_form,
     lambda_convergence_study,
     scale_transform,
 )
@@ -53,13 +51,13 @@ def test_noncentral_shannon_reference():
 
 
 def test_gamma_closed_form_examples():
-    assert gamma_entropy_closed_form(1.0, 2.0, EntropySpec.shannon()).value == \
+    assert entropy(GammaLaw(1.0, 2.0), EntropySpec.shannon()).value == \
         pytest.approx(1.0 + math.log(2.0), rel=1e-13)
-    assert gamma_entropy_closed_form(1.0, 2.0, EntropySpec.renyi(2.0)).value == \
+    assert entropy(GammaLaw(1.0, 2.0), EntropySpec.renyi(2.0)).value == \
         pytest.approx(2.0 * math.log(2.0), rel=1e-13)
     # gate and parameter exclusion apply to the closed form too
-    assert gamma_entropy_closed_form(0.6, 2.0, EntropySpec.renyi(4.0)).reason == REASON_GATE
-    assert gamma_entropy_closed_form(1.0, 2.0, EntropySpec.renyi(1.0)).reason == REASON_PARAMETER
+    assert entropy(GammaLaw(0.6, 2.0), EntropySpec.renyi(4.0)).reason == REASON_GATE
+    assert entropy(GammaLaw(1.0, 2.0), EntropySpec.renyi(1.0)).reason == REASON_PARAMETER
 
 
 @pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: s.kind.value)
@@ -68,7 +66,7 @@ def test_quadrature_matches_gamma_closed_form(spec, k):
     # central chi-squared with k dof is Gamma(k/2, 2); scaled_direct
     # integrates the central density instead of taking the closed form
     got = entropy(CentralChiSq(k), spec, scaled_direct=True).value
-    want = gamma_entropy_closed_form(0.5 * k, 2.0, spec).value
+    want = entropy(GammaLaw(0.5 * k, 2.0), spec).value
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -80,7 +78,7 @@ def test_zero_noncentrality_takes_the_gamma_closed_form(spec):
     for law, scale in [(CentralChiSq(2.0 * s), 2.0), (NoncentralChiSq(2.0 * s, 0.0), 2.0),
                        (GammaLaw(s, theta), theta), (ScaledLaw(GammaLaw(s, theta), c), theta * c)]:
         got = entropy(law, spec)
-        assert got == gamma_entropy_closed_form(s, scale, spec), law
+        assert got == entropy(GammaLaw(s, scale), spec), law
         assert got.error_estimate is None
 
 
@@ -209,17 +207,12 @@ def test_entropy_result_states():
         EntropyResult.finite(math.nan)
 
 
-def test_effective_dof():
-    assert effective_dof(CentralChiSq(3.0)) == 3.0
-    assert effective_dof(NoncentralChiSq(4.0, 2.0)) == 4.0
-    assert effective_dof(GammaLaw(2.5, 1.0)) == 5.0
-    assert effective_dof(ScaledLaw(GammaLaw(2.5, 1.0), 0.1)) == 5.0
+def test_entropy_refuses_a_non_law():
     # anything that is not a law is refused, whatever the spec
     for bad in (2.0, "chisq", None):
-        with pytest.raises(ValueError):
-            effective_dof(bad)
-        with pytest.raises(ValueError):
-            entropy(bad, EntropySpec.shannon())
+        for spec in (EntropySpec.shannon(), EntropySpec.renyi(1.0)):
+            with pytest.raises(ValueError):
+                entropy(bad, spec)
 
 
 def test_lambda_convergence_study():
@@ -239,7 +232,7 @@ def test_shannon_lambda_derivative_at_zero(k):
     # d f / d lam = (f_{k+2} - f_k) / 2 there, with
     # E_{k+2}[log X] - E_k[log X] = 2/k and E_{k+2}[X] - E_k[X] = 2.
     # The next term is O(lam); measured, it is about -lam / (k (k + 2)).
-    h0 = gamma_entropy_closed_form(0.5 * k, 2.0, EntropySpec.shannon()).value
+    h0 = entropy(GammaLaw(0.5 * k, 2.0), EntropySpec.shannon()).value
     for lam in (1e-2, 1e-3):
         h = entropy(NoncentralChiSq(k, lam), EntropySpec.shannon()).value
         slope = (h - h0) / lam
@@ -281,6 +274,10 @@ FAULT_ROWS = [
     (1.854714700947459, 643.8487313043172,
      EntropySpec.renyi(7.509661286084835), 5.0002337129590275),  # 7.3696
     (4.0, 1e4, EntropySpec.renyi(6.0), 6.396456847508906),  # 6.39695
+    # pins the rounding allowance of a log row at large lam (true error
+    # 2.3e-13); 30-digit mpmath, int f^2 and int f^2 log f over 80 panels
+    # of one s.d. across mean +- 40 s.d., gives 6.467280900690271922747574
+    (4.0, 1e4, EntropySpec.gen_renyi_diag(2.0), 6.467280900690272),
 ]
 
 
@@ -308,7 +305,7 @@ def test_error_estimates_bound_gamma_closed_forms():
         for spec in (EntropySpec.shannon(), EntropySpec.renyi(a),
                      EntropySpec.gen_renyi(a, b), EntropySpec.gen_renyi_diag(a),
                      EntropySpec.tsallis(a), EntropySpec.sharma_mittal(a, b)):
-            want = gamma_entropy_closed_form(shape, scale, spec)
+            want = entropy(GammaLaw(shape, scale), spec)
             got = entropy(GammaLaw(shape, scale), spec, scaled_direct=True)
             if want.is_undefined:
                 assert got.is_undefined and got.reason == want.reason
@@ -334,8 +331,8 @@ def test_family_identities_bit_for_bit(alpha):
             assert entropy(law, named) == entropy(law, general), (law, named)
         assert entropy(laws[3], named, scaled_direct=True) == \
             entropy(laws[3], general, scaled_direct=True), named
-        assert gamma_entropy_closed_form(1.7, 0.6, named) == \
-            gamma_entropy_closed_form(1.7, 0.6, general), named
+        assert entropy(GammaLaw(1.7, 0.6), named) == \
+            entropy(GammaLaw(1.7, 0.6), general), named
 
 
 def test_large_order_is_undefined_not_raised():

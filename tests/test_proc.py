@@ -12,13 +12,12 @@ import scipy.integrate as si
 import scipy.special as sp
 import scipy.stats as st
 
-from chientropy.dist import CentralChiSq, NoncentralChiSq, ScaledLaw
+from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw
 from chientropy.entropy import (
     REASON_NONCONVERGENCE,
     REASON_PARAMETER,
     EntropySpec,
     entropy,
-    gamma_entropy_closed_form,
     lambda_convergence_study,
 )
 from chientropy.proc import (
@@ -202,7 +201,7 @@ def test_cir_curve_rows():
 def test_bessel_shannon_affine_growth():
     # H_S(Y_t) - log(sigma^2 t / 4) decreases toward H_S(X_4)
     params = BesselParams(1.0, 1.0, 1.0)
-    target = gamma_entropy_closed_form(2.0, 2.0, EntropySpec.shannon()).value
+    target = entropy(GammaLaw(2.0, 2.0), EntropySpec.shannon()).value
     gaps = []
     for t in (1e2, 1e3, 1e4):
         h = entropy(bessel_marginal(params, t), EntropySpec.shannon()).value
@@ -286,12 +285,44 @@ def test_degenerate_time_rejected():
         TimeGrid((0.0, 1.0))
 
 
+PUBLIC_NAMES = [
+    "CentralChiSq", "NoncentralChiSq", "GammaLaw", "ScaledLaw", "Law",
+    "EntropyKind", "EntropySpec", "EntropyResult", "GateDecision",
+    "existence_gate", "entropy", "scale_transform",
+    "lambda_convergence_study", "LambdaRow",
+    "CIRParams", "BesselParams", "CurveRow", "BZeroRow", "TimeGrid",
+    "cir_marginal", "bessel_marginal", "entropy_curve",
+    "cir_limit_entropy", "bessel_limit_entropy", "b_to_zero_study",
+    "QuadConfig", "QuadResult", "NonConvergence", "IntegrandFailure",
+    "integrate_halfline", "log_bessel_i", "__version__",
+]
+
+
 def test_row_types_reachable_from_package_root():
+    # the public surface, name for name: adding or dropping a name is a
+    # deliberate change of this list
     import chientropy
 
-    for name in ("CurveRow", "LambdaRow", "BZeroRow"):
-        assert name in chientropy.__all__
-        assert getattr(chientropy, name) is not None
+    assert sorted(chientropy.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(chientropy, name) is not None, name
+
+
+def test_benchmark_bindings_resolve():
+    # bench/spans.py wraps each (module, attribute) binding it lists; a
+    # removed or renamed one would only fail a traced benchmark run
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bindings = [b for group in spans._BINDINGS.values() for b in group]
+    assert bindings
+    for module, attr in bindings:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
 # One spec per functional, plus excluded orders (undefined/parameter) and

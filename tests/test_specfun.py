@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chientropy.specfun import _log_i_series, digamma, log_bessel_i, log_gamma
+from chientropy.specfun import _log_i_series, log_bessel_i
 from support import bessel_i_bounds, gamma_log_integral
 
 # Reference values computed with mpmath at 40 significant digits and
@@ -155,36 +155,6 @@ def test_regime_crossover_continuity(nu):
         dispatched = log_bessel_i(nu, x)
         from_series = float(_log_i_series(nu, np.array([x]))[0])
         assert abs(math.expm1(dispatched - from_series)) <= 1e-9
-
-
-def test_digamma_log_gamma_reference():
-    assert digamma(0.5) == pytest.approx(-1.963510026021423479441, rel=1e-14)
-    assert digamma(1.0) == pytest.approx(-0.5772156649015328606065, rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247000870717, rel=1e-14)
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-
-
-def test_digamma_recurrence():
-    # psi(x+1) - psi(x) = 1/x
-    xs = np.geomspace(0.1, 100.0, 64)
-    err = np.abs(digamma(xs + 1.0) - digamma(xs) - 1.0 / xs)
-    assert float(err.max()) <= 1e-11
-
-
-def test_log_gamma_functional_equation():
-    # lnGamma(x+1) - lnGamma(x) = ln x
-    xs = np.geomspace(0.1, 100.0, 64)
-    err = np.abs(log_gamma(xs + 1.0) - log_gamma(xs) - np.log(xs))
-    assert float(err.max()) <= 1e-11
-
-
-def test_digamma_log_gamma_domain():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-        with pytest.raises(ValueError):
-            digamma(bad)
 
 
 def test_bessel_bounds_examples():
