@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import gammaln, psi
 
 from .dist import CentralChiSq, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
-from .quad import NonConvergence, QuadConfig, QuadResult, integrate_rows
+from .quad import IntegrandFailure, NonConvergence, QuadConfig, QuadResult, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
 
 __all__ = [
@@ -257,13 +257,14 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     law, the list of its results, one per row, or the
     :class:`NonConvergence` it met; a law never changes another's
     outcome.  A power row of order 1 is int f = 1 exactly and is never
-    integrated.  One log-density evaluation per level of a sweep of
+    integrated.  One log-density evaluation per pass of a sweep of
     :func:`integrate_rows` feeds every row of the sweep's laws: the
     noncentral formula of ``law.log_pdf`` with one column per law, or,
     for a law of another form, its own ``log_pdf``.  Where log f cannot
     be formed at a node (k/2 - 1 above about 8000) the laws are
     integrated one by one, so that only the laws that fail alone report
-    it.
+    it.  So do the laws whose x0 underflows to 0, or whose integrand
+    overflows at a node (both only at extreme scale factors).
 
     On (0, x0) every density of the family is C x^p with p = k/2 - 1 to
     a relative 1e-17: for a law c NC(k, lam) the first correction term
@@ -303,7 +304,6 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     mean = [law.mean for law in laws]
     var = [law.variance for law in laws]
     x0 = [1e-17 * k * (v / m) * (v / m / m) / 8.0 for m, v in zip(mean, var)]
-    log_x0 = [math.log(x) for x in x0]
     todo = [row for row in rows if row != (1.0, "power")]
 
     def origin(log_c, log_x0, a, kind):
@@ -323,6 +323,10 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         return out
 
     try:
+        if not min(x0) > 0.0:
+            raise NonConvergence(f"the origin piece (0, x0) underflows: x0 = {min(x0)}",
+                                 math.nan, math.inf, 0)
+        log_x0 = [math.log(x) for x in x0]
         log_c = [lf - p * lx for lf, lx in zip(
             log_f(np.array(x0)[:, None], np.arange(len(laws)))[:, 0].tolist(), log_x0)]
         results = integrate_rows(
@@ -330,8 +334,10 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
             [math.sqrt(v) for v in var], cfg,
             offset=[[origin(lc, lx, a, kind) for a, kind in todo]
                     for lc, lx in zip(log_c, log_x0)])
-    except NonConvergence as exc:
+    except (NonConvergence, IntegrandFailure) as exc:
         if len(laws) == 1:
+            if isinstance(exc, IntegrandFailure):  # f^a overflows at a node
+                exc = NonConvergence(str(exc), math.nan, math.inf, 0)
             return [exc]
         return [_integrals([law], rows, config)[0] for law in laws]
 

@@ -17,11 +17,13 @@ range (lo, inf) is split at a centre m (the law's mean, or
 
 Both are trapezoid sums in u over fixed ranges.  Each level halves the
 step and evaluates only its new nodes, in one vectorised call, so one
-log-density sweep per level can feed every integral of a functional,
-one row each, for many laws at once, one law per array row
-(:func:`integrate_rows`); the parts of the nodes that depend on u
-alone are formed once per level for all of them, and kept for the
-coarse levels.  A row has
+log-density evaluation per level can feed every integral of a
+functional, one row each, for many laws at once, one law per array row
+(:func:`integrate_rows`).  The first call takes levels 0 to 2 at once:
+no row stops before level 2, and together their nodes are the step-1/8
+grid, each level's sums formed from its own nodes as if it had a call
+of its own.  The parts of the nodes that depend on u alone are formed
+once per call for all laws, and kept for the coarse levels.  A row has
 converged when two successive levels, from step 1/8 on, agree to
 ``max(rel_tol * |I|, abs_tol * int |g|)``; the floor is relative to the
 integrand's own size, so a tiny integral is still resolved and a row
@@ -148,19 +150,22 @@ class QuadResult:
     magnitude: float
 
 
-def _tables(start: float, level: int) -> tuple:
-    """The parts of the nodes new at ``level`` that depend on u alone.
+def _tables(start: float, level: int, grid: bool) -> tuple:
+    """The parts of the nodes of ``level`` that depend on u alone.
 
-    For the tanh-sinh piece, on u in (start, _TS_CENTRE_END): the count
-    of u < 0, e = e^(-2|v|) with v = (pi/2) sinh u, 1 + e,
-    (pi/2) cosh u * 2 and (1 + e)^2; for the exp-sinh piece:
-    e^((pi/2) sinh u) and (pi/2) cosh u.
+    The nodes are those new at ``level``, the odd nodes of the step-h
+    grid of each piece (all of it at level 0), or with ``grid`` that
+    whole grid: every node of levels 0 to ``level``.  For the tanh-sinh
+    piece, on u in (start, _TS_CENTRE_END): the count of u < 0,
+    e = e^(-2|v|) with v = (pi/2) sinh u, 1 + e, (pi/2) cosh u * 2 and
+    (1 + e)^2; for the exp-sinh piece: e^((pi/2) sinh u) and
+    (pi/2) cosh u.
     """
     h = _FIRST_STEP / 2 ** level
 
     def u(a: float, b: float) -> np.ndarray:
-        n = round((b - a) / _FIRST_STEP) * 2 ** max(level - 1, 0)
-        return a + h * (np.arange(n + 1) if level == 0 else 2.0 * np.arange(n) + 1.0)
+        n = round((b - a) / _FIRST_STEP) * 2 ** level
+        return a + h * (np.arange(n + 1) if grid or level == 0 else np.arange(1, n + 1, 2))
 
     ts, es = u(start, _TS_CENTRE_END), u(_ES_CENTRE_END, _ES_FAR_END)
     e = np.exp(-2.0 * np.abs(_HALF_PI * np.sinh(ts)))
@@ -173,33 +178,46 @@ def _tables(start: float, level: int) -> tuple:
 
 # Forming a table costs about as much as the rest of a level's
 # bookkeeping, so the tables of the first _KEPT_LEVELS levels, where most
-# laws converge, are kept for the life of the process.  A start is a
-# multiple of _FIRST_STEP in [-6, -0.5], so at most 84 tables of up to
-# 1,088 nodes are kept, 0.53 MB in all.  At finer levels the integrand
-# costs far more per node than its table, which is formed afresh.
+# laws converge, are kept for the life of the process: the grid of
+# levels 0 to _MIN_LEVEL and the new nodes of each later level.  A start
+# is a multiple of _FIRST_STEP in [-6, -0.5], so at most 60 tables of up
+# to 1,088 nodes are kept, 0.53 MB in all.  At finer levels the
+# integrand costs far more per node than its table, which is formed
+# afresh, as is the coarser grid of a budget below 2^_MIN_LEVEL.
 _KEPT_LEVELS = 7
 _kept_tables = functools.lru_cache(maxsize=None)(_tables)
 
 
-def _level_nodes(start: float, level: int, lo, centre, width, scale):
-    """Abscissae and weights dx/du of the nodes new at ``level``.
+def _level_nodes(start: float, level: int, grid: bool, lo, centre, width, scale):
+    """Abscissae and weights dx/du of the nodes of :func:`_tables`.
 
     The tanh-sinh piece runs on u in (start, _TS_CENTRE_END).  ``lo``,
     ``centre``, ``width = centre - lo`` and ``scale`` are columns, one
     law per row.  Tanh-sinh comes first and exp-sinh last, so that the
     first and the last node of level 0 are the outer ends, at lo and
-    far out.
+    far out.  Also returns the number of tanh-sinh nodes.
     """
     n_neg, e, opp, dcosh, opp2, grow, ecosh = (
-        _kept_tables if level < _KEPT_LEVELS else _tables)(start, level)
+        _kept_tables if _MIN_LEVEL <= level < _KEPT_LEVELS else _tables)(start, level, grid)
     d = width * e / opp
     t = scale * grow
     return (np.concatenate([lo + d[:, :n_neg], centre - d[:, n_neg:], centre + t], axis=1),
-            np.concatenate([dcosh * width * e / opp2, ecosh * t], axis=1))
+            np.concatenate([dcosh * width * e / opp2, ecosh * t], axis=1), e.size)
 
 
-def _evaluate(g, x: np.ndarray, laws: np.ndarray) -> np.ndarray:
-    vals = np.asarray(g(x, laws), dtype=float)
+def _on_level(v: np.ndarray, level: int, top: int, n_ts: int) -> np.ndarray:
+    """The part of ``v``, given on the grid of level ``top``, at the nodes of ``level``.
+
+    ``v`` holds the ``n_ts`` tanh-sinh nodes first.  The part is a
+    C-contiguous copy in the order of a pass of ``level`` alone, so that
+    its sums add the same terms in the same order.
+    """
+    s = 2 ** (top - level)  # the step of level, in grid steps
+    first, step = (0, s) if level == 0 else (s, 2 * s)
+    return np.concatenate([v[..., first:n_ts:step], v[..., n_ts + first::step]], axis=-1)
+
+
+def _checked(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(vals).all():
         i, r, j = np.argwhere(~np.isfinite(vals))[0]
         raise IntegrandFailure(float(x[i, j]), float(vals[i, r, j]))
@@ -258,40 +276,52 @@ def _sweep(g, start: float, laws, lo, centre, scale, offset, cfg: QuadConfig,
            outcomes: list) -> None:
     """Refine the laws ``laws``, of one tanh-sinh start, level by level.
 
-    Writes each law's outcome into ``outcomes`` as it leaves the sweep.
+    No law stops before _MIN_LEVEL, so the first pass evaluates levels 0
+    to _MIN_LEVEL (to the last level the budget allows, if coarser) in
+    one call of ``g``, on the grid of that level, and each later pass
+    one level.  Each level takes its own nodes back from the pass, in
+    its own order, so its sums are those of a pass of its own.  Writes
+    each law's outcome into ``outcomes`` as it leaves the sweep.
     """
     cols = (lo[:, None], centre[:, None], (centre - lo)[:, None], scale[:, None])
+    last = int(cfg.max_subdivisions).bit_length() - 1  # 2 ** (last + 1) > max_subdivisions
     level, used, best = 0, 0, math.inf
     while True:
-        h = _FIRST_STEP / 2 ** level
-        x, w = _level_nodes(start, level, *cols)
-        terms = _evaluate(g, x, laws) * w[:, None, :]
-        used += x.shape[1]
-        if level == 0:
-            body = h * terms.sum(axis=-1)
-            size = h * np.abs(terms).sum(axis=-1)
-            end_terms = np.maximum(np.abs(terms[:, :, 0]), np.abs(terms[:, :, -1]))
-        else:
-            body = 0.5 * body + h * terms.sum(axis=-1)
-            size = 0.5 * size + h * np.abs(terms).sum(axis=-1)
-        value = offset + body
-        size_all = np.abs(offset) + size
-        err = np.abs(value - best)
-        tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
-        last = 2 ** (level + 1) > cfg.max_subdivisions
-        done = (level >= _MIN_LEVEL) & (err <= tol).all(axis=1) & (size_all > 0.0).all(axis=1)
-        if last or done.any():
-            for i in np.flatnonzero(done | last):
-                outcomes[laws[i]] = _outcome(bool(done[i]), value[i], err[i], tol[i],
-                                             size_all[i], end_terms[i], used)
-            if last or done.all():
-                return
-            keep = ~done
-            laws, offset, body, size, end_terms, value = (
-                a[keep] for a in (laws, offset, body, size, end_terms, value))
-            cols = tuple(c[keep] for c in cols)
-        best = value
-        level += 1
+        top = min(_MIN_LEVEL, last) if level == 0 else level
+        x, w, n_ts = _level_nodes(start, top, level == 0, *cols)
+        vals = np.asarray(g(x, laws), dtype=float)
+        parts = [(x, w, vals)] if level == top else [
+            [_on_level(v, j, top, n_ts) for v in (x, w, vals)] for j in range(top + 1)]
+        # no law leaves the sweep before the last level of a pass
+        for x_j, w_j, vals_j in parts:
+            h = _FIRST_STEP / 2 ** level
+            terms = _checked(vals_j, x_j) * w_j[:, None, :]
+            used += x_j.shape[1]
+            if level == 0:
+                body = h * terms.sum(axis=-1)
+                size = h * np.abs(terms).sum(axis=-1)
+                end_terms = np.maximum(np.abs(terms[:, :, 0]), np.abs(terms[:, :, -1]))
+            else:
+                body = 0.5 * body + h * terms.sum(axis=-1)
+                size = 0.5 * size + h * np.abs(terms).sum(axis=-1)
+            value = offset + body
+            size_all = np.abs(offset) + size
+            err = np.abs(value - best)
+            tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
+            done = ((level >= _MIN_LEVEL) & (err <= tol).all(axis=1)
+                    & (size_all > 0.0).all(axis=1))
+            if level == last or done.any():
+                for i in np.flatnonzero(done | (level == last)):
+                    outcomes[laws[i]] = _outcome(bool(done[i]), value[i], err[i], tol[i],
+                                                 size_all[i], end_terms[i], used)
+                if level == last or done.all():
+                    return
+                keep = ~done
+                laws, offset, body, size, end_terms, value = (
+                    a[keep] for a in (laws, offset, body, size, end_terms, value))
+                cols = tuple(c[keep] for c in cols)
+            best = value
+            level += 1
 
 
 def _outcome(converged: bool, value, err, tol, size_all, end_terms, used: int):

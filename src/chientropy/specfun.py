@@ -6,10 +6,12 @@ orders like ``nu = 100`` do not overflow (``log Gamma`` and ``psi`` are
 ``scipy.special.gammaln`` and ``psi``, called directly).  The
 log-Bessel evaluation has one route,
 ``log(ive(nu, x)) + x`` with the exponentially scaled library Bessel
-function, and two fallbacks where ``ive`` fails: the power series
-summed term by term in log space where it underflows (large order at
-small argument), and the large-argument Hankel expansion where it
-returns NaN (arguments above about 1.07e9).
+function, formed in place over the whole array, and two fallbacks that
+overwrite the points where ``ive`` fails: the power series summed term
+by term in log space where it underflows (large order at small
+argument), and the large-argument Hankel expansion where it returns NaN
+(arguments above about 1.07e9).  Only a call with such a point builds
+masks, and the checks of ``x`` are reductions.
 """
 
 from __future__ import annotations
@@ -121,9 +123,9 @@ def log_bessel_i(nu: float, x):
     (DLMF 10.40.1) takes over; it raises ``ValueError`` where its terms
     stop shrinking, which needs ``nu^2 > 2 x``.
 
-    At ``x = 0`` the value is 0 for ``nu = 0`` and ``-inf`` for
-    ``nu > 0``; for ``-1 < nu < 0`` the function diverges at the origin
-    and ``x = 0`` is rejected.
+    At ``x = 0`` the same route gives 0 for ``nu = 0`` (log 1) and
+    ``-inf`` for ``nu > 0`` (log 0); for ``-1 < nu < 0`` the function
+    diverges at the origin and ``x = 0`` is rejected.
 
     Accuracy: within 1e-12 of mpmath, absolute on ``log I``, over
     ``nu in [-0.95, 100], x in [1e-8, 1e8]``; within 2.2e-16 relative
@@ -134,21 +136,25 @@ def log_bessel_i(nu: float, x):
         raise ValueError(f"Bessel order must satisfy nu > -1, got {nu}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+    arr = np.atleast_1d(arr)
+    # NaN fails both tests: it propagates through min and max
+    lowest = arr.min(initial=np.inf)
+    if not (lowest >= 0.0 and arr.max(initial=0.0) < np.inf):
         raise ValueError("log_bessel_i requires finite x >= 0")
-    if order < 0.0 and np.any(arr == 0.0):
+    if order < 0.0 and lowest == 0.0:
         raise ValueError("log_bessel_i at x = 0 requires nu >= 0")
 
-    out = np.where(arr == 0.0, 0.0 if order == 0.0 else -np.inf, 0.0)
     scaled = _sp.ive(order, arr)  # e^{-x} I_nu(x), overflow free
-    normal = scaled >= _TINY
-    out[normal] = np.log(scaled[normal]) + arr[normal]
-    low = ~normal & (arr > 0.0)
-    if np.any(low):
-        beyond = np.isnan(scaled)  # past the library's range
-        for part, fallback in ((low & ~beyond, _log_i_series), (beyond, _log_i_hankel)):
-            if np.any(part):
-                out[part] = fallback(order, arr[part])
+    fallbacks = ()
+    if not scaled.min(initial=np.inf) >= _TINY:
+        # x = 0 keeps log ive + x: log 1 = 0 at nu = 0, log 0 = -inf at nu > 0
+        fallbacks = (((scaled < _TINY) & (arr > 0.0), _log_i_series),
+                     (np.isnan(scaled), _log_i_hankel))
+    with np.errstate(divide="ignore"):
+        out = np.log(scaled, out=scaled)
+    out += arr
+    for part, fallback in fallbacks:
+        if part.any():
+            out[part] = fallback(order, arr[part])
 
     return float(out[0]) if scalar else out

@@ -100,6 +100,16 @@ def test_scaled_direct_matches_scaling_identity(kind):
     assert float(d_row["value"]) == pytest.approx(float(m_row["value"]), rel=1e-8)
 
 
+def test_scaled_direct_at_an_extreme_factor_is_undefined():
+    # f^3 overflows at a node of the density of 1e-120 X itself
+    proc = run_cli("entropy", "--dist", "chisq", "--k", "4", "--scale-factor", "1e-120",
+                   "--kind", "renyi", "--alpha", "3", "--scaled-direct")
+    assert proc.returncode == 3, proc.stderr
+    (row,) = parse_csv(proc.stdout)
+    assert (row["state"], row["reason"]) == ("undefined", "non-convergence")
+    assert proc.stderr == ""
+
+
 def test_limits_bessel_infinite():
     proc = run_cli("limits", "--process", "bessel", "--kind", "shannon")
     assert proc.returncode == 4

@@ -361,3 +361,15 @@ def test_noncentral_beyond_library_bessel_range():
     # explicit undefined, not an exception
     res = entropy(NoncentralChiSq(4.0, 1e8), EntropySpec.shannon())
     assert res.is_undefined and res.reason == "non-convergence"
+
+
+@pytest.mark.parametrize("factor, alpha, mapped", [(1e-200, 2.0, -458.4375770571293),
+                                                   (1e-120, 3.0, -274.31571913600334)])
+def test_scaled_direct_at_extreme_factors_is_undefined_not_raised(factor, alpha, mapped):
+    # The density of c X itself cannot be integrated there: at 1e-200 the
+    # origin cut x0 underflows to 0, at 1e-120 f^3 overflows at a node.
+    # The default route maps the entropy of X through log c.
+    law, spec = ScaledLaw(CentralChiSq(4.0), factor), EntropySpec.renyi(alpha)
+    direct = entropy(law, spec, scaled_direct=True)
+    assert direct.is_undefined and direct.reason == REASON_NONCONVERGENCE
+    assert entropy(law, spec).value == mapped

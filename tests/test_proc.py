@@ -398,3 +398,54 @@ def test_failing_law_leaves_the_rest_of_a_study_alone():
     assert first.result.reason == REASON_NONCONVERGENCE
     assert second.result.is_finite
     assert second.result == entropy(NoncentralChiSq(2e4, 1.0), spec)
+
+
+def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
+    # A curve evaluates log f once at the origin cuts x0 of all its
+    # laws and once per pass of each quadrature sweep.  A sweep's first
+    # pass holds levels 0 to 2, so it makes the passes its slowest law
+    # makes alone.
+    import chientropy.dist as dist
+    import chientropy.quad as quad
+
+    calls, sweeps, levels = [0], [], []
+    log_bessel_i, level_nodes, sweep = dist.log_bessel_i, quad._level_nodes, quad._sweep
+
+    def counted_log_bessel_i(nu, x):
+        calls[0] += 1
+        return log_bessel_i(nu, x)
+
+    def counted_level_nodes(start, level, grid, *cols):
+        levels.append((level, grid))
+        return level_nodes(start, level, grid, *cols)
+
+    def recorded_sweep(g, start, laws, *args):
+        sweeps.append(laws.tolist())
+        return sweep(g, start, laws, *args)
+
+    monkeypatch.setattr(dist, "log_bessel_i", counted_log_bessel_i)
+    monkeypatch.setattr(quad, "_level_nodes", counted_level_nodes)
+    monkeypatch.setattr(quad, "_sweep", recorded_sweep)
+
+    def run(evaluate):
+        levels.clear()
+        before = calls[0]
+        evaluate()
+        return len(levels), calls[0] - before
+
+    params, spec = BesselParams(1.3, 0.9, 0.4), EntropySpec.shannon()
+    grid = TimeGrid(tuple(10.0 ** e for e in range(-6, 8)))
+    alone = []
+    for t in grid.times:
+        passes, bessel = run(lambda: entropy(bessel_marginal(params, t), spec))
+        assert bessel == passes + 1
+        alone.append(passes)
+    sweeps.clear()
+    passes, bessel = run(lambda: entropy_curve(params, grid, spec))
+    # each sweep starts with the grid of levels 0 to 2, then one level a pass
+    assert levels[0] == (2, True) and levels.count((2, True)) == len(sweeps)
+    for (level, _), now in zip(levels, levels[1:]):
+        assert now in ((2, True), (level + 1, False))
+    assert sorted(i for laws in sweeps for i in laws) == list(range(14))
+    assert bessel == passes + 1
+    assert passes == sum(max(alone[i] for i in laws) for laws in sweeps)

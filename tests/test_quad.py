@@ -195,3 +195,36 @@ def _assert_same_outcome(got, alone):
             (str(alone), alone.value, alone.error_estimate, alone.subdivisions_used)
     else:
         assert got == alone
+
+
+# On (1e-7, inf) split at 1 the tanh-sinh piece starts at u = -4, so
+# levels 0 to 4 add 32, 30, 60, 120 and 240 nodes.
+_LEVEL_NODES = [32, 30, 60, 120, 240]
+
+
+def _counting_exp(calls):
+    def g(x, laws):
+        calls.append(x.shape[1])
+        return np.exp(-x)[:, None, :]
+    return g
+
+
+@pytest.mark.parametrize("rel_tol, levels", [(1e-6, 4), (1e-11, 5)])
+def test_levels_zero_to_two_take_one_integrand_call(rel_tol, levels):
+    # no law stops before level 2, so one call evaluates levels 0 to 2
+    # and each later call one level: levels - 2 calls in all
+    calls = []
+    (res,) = integrate_rows(_counting_exp(calls), 1e-7, 1.0, 1.0, QuadConfig(rel_tol=rel_tol))
+    assert calls == [sum(_LEVEL_NODES[:3])] + _LEVEL_NODES[3:levels]
+    assert res[0].subdivisions_used == sum(_LEVEL_NODES[:levels]) == {4: 242, 5: 482}[levels]
+    assert res[0].value == pytest.approx(math.exp(-1e-7), rel=rel_tol)
+
+
+@pytest.mark.parametrize("budget, levels", [(2, 2), (3, 2), (4, 3)])
+def test_a_budget_below_eight_takes_one_integrand_call(budget, levels):
+    # the budget stops the first call at level 1 (budgets 2 and 3) or 2
+    calls = []
+    (res,) = integrate_rows(_counting_exp(calls), 1e-7, 1.0, 1.0,
+                            QuadConfig(max_subdivisions=budget))
+    assert isinstance(res, NonConvergence)
+    assert calls == [res.subdivisions_used] == [sum(_LEVEL_NODES[:levels])]

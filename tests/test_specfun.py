@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from chientropy.specfun import _log_i_series, log_bessel_i
+from scipy import special as sp
+
+from chientropy.dist import NoncentralChiSq
+from chientropy.specfun import _log_i_hankel, _log_i_series, log_bessel_i
 from support import bessel_i_bounds, gamma_log_integral
 
 # Reference values computed with mpmath at 40 significant digits and
@@ -137,6 +140,64 @@ def test_log_bessel_i_at_zero():
     assert log_bessel_i(2.0, 0.0) == -math.inf
     with pytest.raises(ValueError):
         log_bessel_i(-0.3, 0.0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.6, 30.0])
+def test_log_bessel_i_routes_each_point(nu):
+    # log ive + x where ive is a positive normal float, the series where
+    # it underflows at x > 0, the Hankel expansion where it is NaN, and
+    # at x = 0 (either sign) log I_0(0) = 0 and log I_nu(0) = -inf
+    x = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 40.0, 1e5, 1e9, 2e9, 1e12])
+    scaled = sp.ive(nu, x)
+    series = (scaled < np.finfo(float).tiny) & (x > 0.0)
+    hankel = np.isnan(scaled)
+    normal = ~series & ~hankel & (x > 0.0)
+    got = log_bessel_i(nu, x)
+    assert (hankel.sum(), series.sum()) == (2, {0.0: 0, 0.6: 1, 30.0: 2}[nu])
+    assert got[:2].tolist() == [0.0 if nu == 0.0 else -math.inf] * 2
+    assert (got[normal] == np.log(scaled[normal]) + x[normal]).all()
+    assert (got[hankel] == _log_i_hankel(nu, x[hankel])).all()
+    if series.any():
+        assert (got[series] == _log_i_series(nu, x[series])).all()
+    assert log_bessel_i(nu, x.reshape(1, -1)).tolist() == [got.tolist()]
+    assert log_bessel_i(nu, np.array(x[3])) == log_bessel_i(nu, float(x[3])) == got[3]
+    assert isinstance(log_bessel_i(nu, np.array(x[3])), float)
+    empty = log_bessel_i(nu, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, -2.0,
+                               [1.0, math.nan], [3.0, -0.5], [math.inf, 1.0]])
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
+def test_log_bessel_i_refuses_x_outside_the_domain(nu, x):
+    with pytest.raises(ValueError, match="requires finite x >= 0"):
+        log_bessel_i(nu, x)
+
+
+def test_log_bessel_i_below_order_zero():
+    # I_nu diverges at the origin for -1 < nu < 0; positive x is fine
+    for x in (0.0, -0.0, [2.0, 0.0]):
+        with pytest.raises(ValueError, match="requires nu >= 0"):
+            log_bessel_i(-0.4, x)
+    assert log_bessel_i(-0.4, 2.0) == math.log(sp.ive(-0.4, 2.0)) + 2.0
+    assert log_bessel_i(-0.4, np.array([])).shape == (0,)
+
+
+def test_log_bessel_i_and_the_density_need_few_full_size_arrays():
+    # peak memory on 10^6 points, counted in arrays of that size: the
+    # result and the scaled Bessel values share one
+    import tracemalloc
+
+    x = np.linspace(0.01, 50.0, 10**6)
+    law = NoncentralChiSq(3.2, 7.1)
+    for evaluate, arrays in ((lambda: log_bessel_i(0.6, x), 2.5), (lambda: law.log_pdf(x), 4.5)):
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * x.nbytes
 
 
 def test_log_bessel_i_rejects_bad_order():
