@@ -122,10 +122,13 @@ def _load_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "max_subdivisions":
-                overrides[key] = int(val.strip())
-            else:
-                overrides[key] = float(val.strip())
+            try:
+                value = float(val.strip())
+                QuadConfig(**{key: value})  # range checks, reported at this line
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            # QuadConfig refused a non-integral max_subdivisions above
+            overrides[key] = int(value) if key == "max_subdivisions" else value
     return overrides
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .specfun import log_bessel_i
 
@@ -97,6 +96,8 @@ class _Law:
             arr = arr / c
         h = 0.5 * k
         if lam == 0.0:
+            from scipy.special import gammaln  # deferred: scipy.special dominates CLI start-up
+
             out = (h - 1.0) * np.log(arr) - 0.5 * arr - h * _LOG2 - gammaln(h)
         else:
             out = _nc_log_pdf(arr, k, lam, math.log(lam), math.sqrt(lam))

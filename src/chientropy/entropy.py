@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, psi
 
 from .dist import CentralChiSq, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
 from .quad import IntegrandFailure, NonConvergence, QuadConfig, QuadResult, integrate_rows
@@ -511,6 +510,8 @@ def _gamma_log_integral_moment(shape: float, scale: float, a: float) -> float:
     int f^a = Gamma(a(s-1)+1) / (Gamma(s)^a a^(a(s-1)+1) theta^(a-1)),
     and 0 exactly at a = 1 for shape > 1/2, where a(s-1)+1 is s.
     """
+    from scipy.special import gammaln  # deferred: scipy.special dominates CLI start-up
+
     g = a * (shape - 1.0) + 1.0
     return (gammaln(g) - a * gammaln(shape)
             + (1.0 - a) * math.log(scale) - g * math.log(a))
@@ -520,6 +521,8 @@ def _gamma_closed_form(s: float, theta: float, family: EntropyKind,
                        a: float, b: float) -> EntropyResult:
     """The functional of a gamma law with shape s and scale theta, exactly."""
     if family is EntropyKind.GEN_RENYI_DIAG:
+        from scipy.special import gammaln, psi  # deferred: scipy.special dominates CLI start-up
+
         # at a = 1 this is the Shannon entropy term for term: the gate
         # keeps s > 1/2, where s - 1, 1 + (s - 1) and g are exact
         g = a * (s - 1.0) + 1.0

@@ -12,6 +12,12 @@ by term in log space where it underflows (large order at small
 argument), and the large-argument Hankel expansion where it returns NaN
 (arguments above about 1.07e9).  Only a call with such a point builds
 masks, and the checks of ``x`` are reductions.
+
+``scipy.special`` is imported inside the functions that call it, here
+and in ``dist`` and ``entropy``, not at module level: its import takes
+about half of a CLI process, and the commands that evaluate no special
+function (existence-gate failures, the squared Bessel limits, usage
+errors) never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "log_bessel_i",
@@ -144,7 +149,9 @@ def log_bessel_i(nu: float, x):
     if order < 0.0 and lowest == 0.0:
         raise ValueError("log_bessel_i at x = 0 requires nu >= 0")
 
-    scaled = _sp.ive(order, arr)  # e^{-x} I_nu(x), overflow free
+    from scipy.special import ive  # deferred: scipy.special dominates CLI start-up
+
+    scaled = ive(order, arr)  # e^{-x} I_nu(x), overflow free
     fallbacks = ()
     if not scaled.min(initial=np.inf) >= _TINY:
         # x = 0 keeps log ive + x: log 1 = 0 at nu = 0, log 0 = -inf at nu > 0

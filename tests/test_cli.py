@@ -310,7 +310,8 @@ def test_config_file(tmp_path):
     (row,) = parse_csv(proc.stdout)
     assert row["reason"] == "non-convergence"
     # command line tolerance beats the config file value
-    cfg.write_text("rel_tol = 1e-3\n")
+    # a budget written as a float is read as the integer it is
+    cfg.write_text("rel_tol = 1e-3\nmax_subdivisions = 1e3\n")
     loose = run_cli("entropy", "--dist", "ncchisq", "--k", "4", "--lambda", "4",
                     "--kind", "shannon", "--config", str(cfg))
     tight = run_cli("entropy", "--dist", "ncchisq", "--k", "4", "--lambda", "4",
@@ -322,10 +323,13 @@ def test_config_file(tmp_path):
 
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_key = 1\n")
-    proc = run_cli("entropy", "--dist", "chisq", "--k", "2", "--kind", "shannon",
-                   "--config", str(bad))
-    assert proc.returncode == 2
+    # every refused line is reported by file and line number
+    for line in ("no_such_key = 1", "rel_tol = abc", "max_subdivisions = 2.5"):
+        bad.write_text(f"# line 1\n{line}\n")
+        proc = run_cli("entropy", "--dist", "chisq", "--k", "2", "--kind", "shannon",
+                       "--config", str(bad))
+        assert proc.returncode == 2, line
+        assert proc.stderr.startswith(f"error: {bad}:2: "), proc.stderr
     proc = run_cli("entropy", "--dist", "chisq", "--k", "2", "--kind", "shannon",
                    "--config", str(tmp_path / "missing.cfg"))
     assert proc.returncode == 2
@@ -345,11 +349,47 @@ def test_missing_required_params():
     assert proc.returncode == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the quadrature is the package's own; importing the CLI must not pay
-    # for scipy.integrate
-    code = "import sys, chientropy.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code],
+_SCIPY_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+import chientropy, chientropy.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = [["import", None, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = chientropy.cli.main(argv)
+        except SystemExit as exc:  # --help and argparse usage errors
+            code = exc.code
+    steps.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_import_and_closed_form_commands_leave_out_scipy():
+    # scipy.special is imported at first use: importing the package and
+    # the commands that evaluate no special function load no scipy module
+    commands = [
+        (["entropy", "--dist", "ncchisq", "--k", "1.2", "--lambda", "1",
+          "--kind", "renyi", "--alpha", "4"], 3),
+        (["limits", "--process", "bessel", "--kind", "shannon"], 4),
+        (["limits", "--process", "bessel", "--kind", "tsallis", "--alpha", "2"], 0),
+        (["entropy", "--dist", "ncchisq", "--kind", "shannon"], 2),
+        (["entropy", "--dist", "nosuch"], 2),
+        (["--help"], 0),
+    ]
+    # last, a noncentral entropy must load it, or the test could pass vacuously
+    nc_entropy = (["entropy", "--dist", "ncchisq", "--k", "4", "--lambda", "2"], 0)
+    argvs = [argv for argv, _ in commands + [nc_entropy]]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BOUNDARY_SCRIPT, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    (_, _, at_import), *steps = json.loads(proc.stdout)
+    assert at_import == []
+    for (argv, code), (_, got, loaded) in zip(commands, steps):
+        assert (got, loaded) == (code, []), argv
+    *_, (_, got, loaded) = steps
+    assert got == 0
+    assert "scipy.special" in loaded
