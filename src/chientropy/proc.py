@@ -206,7 +206,8 @@ def b_to_zero_study(a: float, sigma: float, r0: float, t: float,
     approaches the squared Bessel values, so the entropies converge to
     the entropy of the Bessel marginal at the same t; each row carries
     the remaining gap when both sides are finite.  The Bessel marginal
-    and the CIR marginals share k and are integrated together.
+    and the CIR marginals share k, and those that take quadrature are
+    integrated together.
     """
     grid = [float(b) for b in b_grid]
     if not grid:

@@ -2,14 +2,16 @@
 
 A change to the quadrature or the log-Bessel route that is meant to be
 bit-identical must leave every pair as it is; a change that moves one on
-purpose updates the table, with the reason in CHANGES.md.  The table was
-generated on the commit before the single first pass of levels 0 to 2
-with::
+purpose updates the table, with the reason in CHANGES.md.  The table is
+generated with::
 
     PYTHONPATH=src:tests python -c "import test_golden as t; t.print_table()"
 
-Budgets 2 and 3 never converge (no law stops before level 2), so their
-rows pin the best value and estimate the NonConvergence carries.
+The NC(2.2, 1e-5) rows and the Bessel rows from t = 10 on take the
+lambda series; the rows that pin a quadrature setting (budget 4,
+split point 2) are on laws that refuse it.  Budgets 2 and 3 never
+converge (no law stops before level 2), so their rows pin the best
+value and estimate the NonConvergence carries.
 """
 
 import math
@@ -18,7 +20,9 @@ import pytest
 
 from chientropy import (BesselParams, CentralChiSq, CIRParams, EntropySpec, GammaLaw,
                         NoncentralChiSq, NonConvergence, QuadConfig, ScaledLaw, TimeGrid,
-                        entropy, entropy_curve, integrate_halfline)
+                        cir_marginal, entropy, entropy_curve, integrate_halfline)
+from chientropy.dist import _triple_of
+from chientropy.entropy import _family, _lambda_series
 
 SPECS = {
     "shannon": EntropySpec.shannon(),
@@ -57,9 +61,9 @@ def cases():
         law = ScaledLaw(NoncentralChiSq(2.6, y0), 0.8)
         yield (f"0.8 NC(2.6, {y0}) {kind} split 2",
                entropy(law, SPECS[kind], QuadConfig(split_point=2.0)))
-    (row,) = entropy_curve(CIRParams(1.1, 0.7, 0.8, 0.5), TimeGrid((2.0,)), SPECS["renyi-2"],
+    (row,) = entropy_curve(CIRParams(1.1, 0.7, 0.8, 0.5), TimeGrid((1.0,)), SPECS["renyi-2"],
                            LOOSE)
-    yield "CIR t = 2 renyi-2 budget 4", row.result
+    yield "CIR t = 1 renyi-2 budget 4", row.result
     yield "NC(3.0, 2.0) renyi-2 budget 4", entropy(NoncentralChiSq(3.0, 2.0),
                                                    SPECS["renyi-2"], LOOSE)
     for budget in (2, 3, 4):
@@ -81,13 +85,13 @@ GOLDEN = [
     ('NC(1.3, 0.05) renyi-0.5', '0x1.ce3fabe17ff68p+0', '0x1.295860e0674d4p-46'),
     ('NC(7.5, 40.0) renyi-2', '0x1.ea5ca84b981a0p+1', '0x1.e174c3751a1dcp-44'),
     ('NC(25.0, 900.0) gen-renyi', '0x1.5ea1dcd965dbdp+2', '0x1.9d78423104533p-40'),
-    ('NC(2.2, 1e-05) diag-1.8', '0x1.639ae4f8407cbp+0', '0x1.75cbbf762c035p-45'),
+    ('NC(2.2, 1e-05) diag-1.8', '0x1.639ae4f8407cdp+0', '0x1.f060ad937ac64p-49'),
     ('NC(4.0, 6902.0) tsallis-1.4', '0x1.27c6c964fbde7p+1', '0x1.d3a703bdf0e56p-41'),
     ('NC(3.0, 2.0) sharma-mittal', '0x1.03c9b1bb91497p+0', '0x1.2a12879280053p-49'),
-    ('NC(1.3, 0.05) shannon', '0x1.3a1a97d90d2e7p+0', '0x1.d8f9ca52d803fp-45'),
+    ('NC(1.3, 0.05) shannon', '0x1.3a1a97d90d2e7p+0', '0x1.4d9e4e21b1ceep-48'),
     ('NC(7.5, 40.0) renyi-0.5', '0x1.0b6571f3f5d2fp+2', '0x1.02f6f9c18904ap-44'),
     ('NC(25.0, 900.0) renyi-2', '0x1.576b7db45c096p+2', '0x1.a017338d6750dp-40'),
-    ('NC(2.2, 1e-05) gen-renyi', '0x1.b6a265f7ddca5p+0', '0x1.8359c851035d1p-46'),
+    ('NC(2.2, 1e-05) gen-renyi', '0x1.b6a265f7ddca5p+0', '0x1.a2e81fe19fd40p-48'),
     ('NC(4.0, 6902.0) diag-1.8', '0x1.93d1d881b7aa7p+2', '0x1.466cb0451dfbdp-34'),
     ('0.03 NC(3.0, 2.0) tsallis-1.4', '-0x1.54a3eb6d42e1cp+0', '0x1.458164f03431bp-36'),
     ('0.03 NC(3.0, 2.0) tsallis-1.4 direct', '-0x1.54a3eb6d42e22p+0', '0x1.459664d0594dfp-36'),
@@ -106,17 +110,17 @@ GOLDEN = [
     ('Bessel t = 0.01 shannon', '-0x1.715cba518c488p+0', '0x1.a2f0e4f1c6066p-41'),
     ('Bessel t = 0.1 shannon', '-0x1.025967977f4a0p-2', '0x1.8934dacbf09a1p-43'),
     ('Bessel t = 1.0 shannon', '0x1.3cbd154c823adp+0', '0x1.85be04e1e103ep-44'),
-    ('Bessel t = 10.0 shannon', '0x1.a8c9c2a49f842p+1', '0x1.52e74040c2162p-44'),
-    ('Bessel t = 100.0 shannon', '0x1.6608195e3a14ap+2', '0x1.4da98c6ff302cp-44'),
-    ('Bessel t = 1000.0 shannon', '0x1.f938661fd93dap+2', '0x1.4d2342d2bcb0cp-44'),
-    ('Bessel t = 10000.0 shannon', '0x1.4648b5652b1c6p+3', '0x1.4f15d4e6b76c8p-44'),
-    ('Bessel t = 100000.0 shannon', '0x1.8ff7424130de5p+3', '0x1.4d147d1b8ac50p-44'),
-    ('Bessel t = 1000000.0 shannon', '0x1.d9a603614f004p+3', '0x1.4f145aba6bc2bp-44'),
-    ('Bessel t = 10000000.0 shannon', '0x1.11aa64ddbc294p+4', '0x1.4d14574a4f0d2p-44'),
+    ('Bessel t = 10.0 shannon', '0x1.a8c9c2a49f842p+1', '0x1.872bacc8c0b84p-47'),
+    ('Bessel t = 100.0 shannon', '0x1.6608195e3a149p+2', '0x1.579fc5b4342cep-47'),
+    ('Bessel t = 1000.0 shannon', '0x1.f938661fd93dap+2', '0x1.5376b5c7cfcd7p-47'),
+    ('Bessel t = 10000.0 shannon', '0x1.4648b5652b1c6p+3', '0x1.542ccf4ded5eap-47'),
+    ('Bessel t = 100000.0 shannon', '0x1.8ff7424130de6p+3', '0x1.53188251fe49bp-47'),
+    ('Bessel t = 1000000.0 shannon', '0x1.d9a603614f005p+3', '0x1.531f2ff23ad7ap-47'),
+    ('Bessel t = 10000000.0 shannon', '0x1.11aa64ddbc295p+4', '0x1.53178d5bbab0cp-47'),
     ('0.8 NC(2.6, 0.5) renyi-0.5 split 2', '0x1.195e4ed9b42b8p+1', '0x1.29750a490889fp-46'),
     ('0.8 NC(2.6, 3.0) shannon split 2', '0x1.36fc8f6c15d6ap+1', '0x1.84c755127dc69p-45'),
     ('0.8 NC(2.6, 40.0) diag-1.8 split 2', '0x1.c11a27e62aa49p+1', '0x1.04907e7ea45bdp-41'),
-    ('CIR t = 2 renyi-2 budget 4', '0x1.963aa186ac2f2p-1', '0x1.35fa3e8bda6d4p-23'),
+    ('CIR t = 1 renyi-2 budget 4', '0x1.1abf7e843a64cp-1', '0x1.78273e14bf3c6p-21'),
     ('NC(3.0, 2.0) renyi-2 budget 4', '0x1.2d07cf0f949a7p+1', '0x1.4ae2464fd35f2p-23'),
     ('exp budget 2', '0x1.ffffa67eeacb0p-1', '0x1.39fe9ecdc5c00p-11'),
     ('rsqrt-exp budget 2', '0x1.c5bf750ad696ep+0', '0x1.501393c28c000p-14'),
@@ -131,3 +135,15 @@ def test_every_value_and_estimate_is_bit_identical():
     got = [(label, res.value.hex(), res.error_estimate.hex()) for label, res in cases()]
     assert len(got) == len(GOLDEN) == 47
     assert got == GOLDEN
+
+
+def test_the_quadrature_setting_rows_stay_on_quadrature():
+    # config sets the quadrature alone, so these rows pin it only while
+    # their laws refuse the lambda series
+    laws = [(cir_marginal(CIRParams(1.1, 0.7, 0.8, 0.5), 1.0), "renyi-2"),
+            (NoncentralChiSq(3.0, 2.0), "renyi-2")]
+    laws += [(NoncentralChiSq(2.6, y0), kind)
+             for y0, kind in [(0.5, "renyi-0.5"), (3.0, "shannon"), (40.0, "diag-1.8")]]
+    for law, kind in laws:
+        k, lam, _ = _triple_of(law)
+        assert _lambda_series(k, lam, *_family(SPECS[kind])) is None, (law, kind)

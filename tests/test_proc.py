@@ -12,11 +12,14 @@ import scipy.integrate as si
 import scipy.special as sp
 import scipy.stats as st
 
-from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw
+from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw, _triple_of
 from chientropy.entropy import (
     REASON_NONCONVERGENCE,
     REASON_PARAMETER,
+    EntropyKind,
     EntropySpec,
+    _integrals,
+    _lambda_series,
     entropy,
     lambda_convergence_study,
 )
@@ -31,7 +34,7 @@ from chientropy.proc import (
     cir_marginal,
     entropy_curve,
 )
-from chientropy.quad import QuadConfig
+from chientropy.quad import NonConvergence, QuadConfig
 
 
 def test_cir_marginal_parameters():
@@ -390,21 +393,31 @@ def test_curves_and_studies_match_per_law_entropy(spec, config):
 def test_failing_law_leaves_the_rest_of_a_study_alone():
     # NC(2e4, 100) is undefined/non-convergence on its own (its
     # log-Bessel series cannot converge within the term cap), while
-    # NC(2e4, 1) is finite; in one study the first row must not take
-    # the second down with it.
+    # NC(2e4, 1) is finite; in one quadrature sweep the first law must
+    # not take the second down with it.
+    rows = [(1.0, "log"), (1.0, "power")]
+    first, second = _integrals([NoncentralChiSq(2e4, 100.0), NoncentralChiSq(2e4, 1.0)],
+                               rows, None)
+    assert isinstance(first, NonConvergence)
+    num, den = second
+    series = _lambda_series(2e4, 1.0, EntropyKind.GEN_RENYI_DIAG, 1.0, 1.0)
+    assert abs(-num.value / den.value - series.value) <= (
+        num.error_estimate + series.error_estimate)
+    # a public study takes NC(2e4, 1) by the lambda series
     spec = EntropySpec.shannon()
     first, second = lambda_convergence_study(2e4, spec, [100.0, 1.0])
     assert first.result.is_undefined
     assert first.result.reason == REASON_NONCONVERGENCE
-    assert second.result.is_finite
+    assert second.result == series
     assert second.result == entropy(NoncentralChiSq(2e4, 1.0), spec)
 
 
 def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
     # A curve evaluates log f once at the origin cuts x0 of all its
-    # laws and once per pass of each quadrature sweep.  A sweep's first
-    # pass holds levels 0 to 2, so it makes the passes its slowest law
-    # makes alone.
+    # quadrature laws and once per pass of each quadrature sweep.  A
+    # sweep's first pass holds levels 0 to 2, so it makes the passes its
+    # slowest law makes alone.  The laws that take the lambda series
+    # (here the late times, where lambda is small) make no call at all.
     import chientropy.dist as dist
     import chientropy.quad as quad
 
@@ -435,17 +448,22 @@ def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
 
     params, spec = BesselParams(1.3, 0.9, 0.4), EntropySpec.shannon()
     grid = TimeGrid(tuple(10.0 ** e for e in range(-6, 8)))
-    alone = []
+    alone = []   # passes of each quadrature law alone
     for t in grid.times:
         passes, bessel = run(lambda: entropy(bessel_marginal(params, t), spec))
-        assert bessel == passes + 1
-        alone.append(passes)
+        k, lam, _ = _triple_of(bessel_marginal(params, t))
+        if _lambda_series(k, lam, EntropyKind.GEN_RENYI_DIAG, 1.0, 1.0) is None:
+            assert bessel == passes + 1
+            alone.append(passes)
+        else:
+            assert (bessel, passes) == (0, 0)
+    assert 0 < len(alone) < len(grid.times)
     sweeps.clear()
     passes, bessel = run(lambda: entropy_curve(params, grid, spec))
     # each sweep starts with the grid of levels 0 to 2, then one level a pass
     assert levels[0] == (2, True) and levels.count((2, True)) == len(sweeps)
     for (level, _), now in zip(levels, levels[1:]):
         assert now in ((2, True), (level + 1, False))
-    assert sorted(i for laws in sweeps for i in laws) == list(range(14))
+    assert sorted(i for laws in sweeps for i in laws) == list(range(len(alone)))
     assert bessel == passes + 1
     assert passes == sum(max(alone[i] for i in laws) for laws in sweeps)
