@@ -76,6 +76,12 @@ def _nc_log_pdf(x: np.ndarray, k: float, lam, log_lam, root_lam) -> np.ndarray:
             - _LOG2)
 
 
+def _log_origin_coefficient(k: float, lam: float, c: float) -> float:
+    """log C, where c NC(k, lam) has the density C x^(k/2-1) (1 + O(x)) at 0:
+    C = e^(-lam/2) / ((2c)^(k/2) Gamma(k/2))."""
+    return -0.5 * lam - 0.5 * k * (_LOG2 + math.log(c)) - math.lgamma(0.5 * k)
+
+
 class _Law:
     """The implementation shared by the law types, which give ``_triple``."""
 

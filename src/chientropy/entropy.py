@@ -45,7 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist import CentralChiSq, Law, NoncentralChiSq, _nc_log_pdf, _triple_of
+from .dist import (CentralChiSq, Law, NoncentralChiSq, _log_origin_coefficient,
+                   _nc_log_pdf, _triple_of)
 from .quad import IntegrandFailure, NonConvergence, QuadConfig, QuadResult, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
 
@@ -284,9 +285,9 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     On (0, x0) every density of the family is C x^p with p = k/2 - 1 to
     a relative 1e-17: for a law c NC(k, lam) the first correction term
     is at most x mean / (2 k c^2), and x0 = 1e-17 k var^2 / (8 mean^3)
-    keeps it below that.  The piece is taken in closed form, so the
-    nodes never come near the origin, where f^a can overflow for laws
-    close to the gate.
+    keeps it below that.  The piece is taken in closed form, C too, so
+    the nodes never come near the origin, where f^a can overflow for
+    laws close to the gate.
 
     Each error estimate also carries the rounding error of log f,
     d = 8 eps (1 + mean^2/var + (k/2) |log mean|): near the mean of a
@@ -321,8 +322,8 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     x0 = [1e-17 * k * (v / m) * (v / m / m) / 8.0 for m, v in zip(mean, var)]
     todo = [row for row in rows if row != (1.0, "power")]
 
-    def origin(log_c, log_x0, a, kind):
-        q = a * p + 1.0
+    def origin(triple, x0, a, kind):
+        log_c, log_x0, q = _log_origin_coefficient(*triple), math.log(x0), a * p + 1.0
         part = math.exp(a * log_c + q * log_x0 - math.log(q))
         if kind == "power":
             return part
@@ -341,14 +342,10 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         if not min(x0) > 0.0:
             raise NonConvergence(f"the origin piece (0, x0) underflows: x0 = {min(x0)}",
                                  math.nan, math.inf, 0)
-        log_x0 = [math.log(x) for x in x0]
-        log_c = [lf - p * lx for lf, lx in zip(
-            log_f(np.array(x0)[:, None], np.arange(len(laws)))[:, 0].tolist(), log_x0)]
         results = integrate_rows(
             g, x0, mean if cfg.split_point is None else cfg.split_point,
             [math.sqrt(v) for v in var], cfg,
-            offset=[[origin(lc, lx, a, kind) for a, kind in todo]
-                    for lc, lx in zip(log_c, log_x0)])
+            offset=[[origin(t, x, a, kind) for a, kind in todo] for t, x in zip(triples, x0)])
     except (NonConvergence, IntegrandFailure) as exc:
         if len(laws) == 1:
             if isinstance(exc, IntegrandFailure):  # f^a overflows at a node
@@ -698,8 +695,10 @@ def _series_sums(lam: float, miller: _Miller) -> tuple | None:
     non-integer a the series is asymptotic, so the law refuses it (None)
     once a term outgrows both terms before it (the last alone can be
     such a sign change) after the terms have started to shrink, when
-    the terms still grow at the third, or at the term cap.  The
-    estimate is the rounding plus the last two terms.
+    the terms still grow at the third, at the term cap, or at the first
+    two terms if they cannot reach eps/4 of S by the cap
+    (:func:`_falls_short`).  The estimate is the rounding plus the last
+    two terms.
     """
     s, a, diagonal = miller.s, miller.a, miller.diagonal
     b, e, db, de = miller.b, miller.e, miller.db, miller.de   # extend() appends to these
@@ -730,18 +729,29 @@ def _series_sums(lam: float, miller: _Miller) -> tuple | None:
         total += term
         if not (math.isfinite(total) and math.isfinite(size + dsize)):
             return None
-        small = size < tol * abs(total) and dsize < tol * abs(total)
+        bound = tol * abs(total)
+        small = size < bound and dsize < bound
         if small and was_small:
             t, dt = math.fsum(terms), math.fsum(dterms)
             if not 1.0 + t > 0.0:
                 return None
             return (t, dt, err + last + size + _EPS * (1.0 + abs(t)),
                     derr + dlast + dsize + _EPS * abs(dt))
-        if size > max(last, before) and (shrinking or n >= 3):
+        if size > max(last, before) and (shrinking or n >= 3) or n <= 2 and (
+                _falls_short(size, last, n, bound) or _falls_short(dsize, dlast, n, bound)):
             return None
         shrinking = shrinking or size < last
         before, last, dlast, was_small = last, size, dsize, small
     return None
+
+
+def _falls_short(t: float, t_before: float, n: int, bound: float) -> bool:
+    """True if terms n - 1 and n, of sizes ``t_before`` and ``t``, cannot reach
+    ``bound`` by term _SERIES_TERMS even by falling like the terms of a
+    Poisson law, to t mu^m n! / (n + m)! at term n + m with mu = n t / t_before."""
+    return n * t > t_before > 0.0 and (   # mu <= 1 gives at most t n!/40! by the cap
+        math.log(t) + (_SERIES_TERMS - n) * math.log(n * t / t_before) + math.lgamma(n + 1.0)
+        - math.lgamma(_SERIES_TERMS + 1.0)) > math.log(bound)
 
 
 def _dot(w: list, b: list) -> float:

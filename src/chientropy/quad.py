@@ -19,11 +19,12 @@ Both are trapezoid sums in u over fixed ranges.  Each level halves the
 step and evaluates only its new nodes, in one vectorised call, so one
 log-density evaluation per level can feed every integral of a
 functional, one row each, for many laws at once, one law per array row
-(:func:`integrate_rows`).  The first call takes levels 0 to 2 at once:
-no row stops before level 2, and together their nodes are the step-1/8
-grid, each level's sums formed from its own nodes as if it had a call
-of its own.  The parts of the nodes that depend on u alone are formed
-once per call for all laws, and kept for the coarse levels.  A row has
+(:func:`integrate_rows`).  The first call takes levels 0 to 3 at once,
+the step-1/16 grid, since nearly every row goes on to level 4 or
+further; one product with a table of the level of each node gives every
+level's sums, as a call per level would to rounding.  The parts of
+the nodes that depend on u alone are formed once per call for all laws,
+and kept for the coarse levels.  A row has
 converged when two successive levels, from step 1/8 on, agree to
 ``max(rel_tol * |I|, abs_tol * int |g|)``; the floor is relative to the
 integrand's own size, so a tiny integral is still resolved and a row
@@ -70,6 +71,7 @@ _LO_REACH = 2.0 ** -56     # nearest node to lo > 0, relative to lo
 # Two levels agreeing before this one (step 1/8) may both have missed
 # a narrow peak; no row is accepted earlier.
 _MIN_LEVEL = 2
+_FIRST_TOP = 3   # the last level of the first pass of a sweep (step 1/16)
 # Rounding allowance of a level sum, relative to the integral of |g|.
 _ROUNDING = 2.0 ** -48
 
@@ -159,31 +161,42 @@ def _tables(start: float, level: int, grid: bool) -> tuple:
     piece, on u in (start, _TS_CENTRE_END): the count of u < 0,
     e = e^(-2|v|) with v = (pi/2) sinh u, 1 + e, (pi/2) cosh u * 2 and
     (1 + e)^2; for the exp-sinh piece: e^((pi/2) sinh u) and
-    (pi/2) cosh u.
+    (pi/2) cosh u.  Then, for a ``grid``, the (nodes x levels) 0/1 table
+    of the level of each node (else None), and the node count of levels
+    0 to j for each level j it holds.
     """
     h = _FIRST_STEP / 2 ** level
 
-    def u(a: float, b: float) -> np.ndarray:
+    def steps(a: float, b: float) -> np.ndarray:
         n = round((b - a) / _FIRST_STEP) * 2 ** level
-        return a + h * (np.arange(n + 1) if grid or level == 0 else np.arange(1, n + 1, 2))
+        return np.arange(n + 1) if grid or level == 0 else np.arange(1, n + 1, 2)
 
-    ts, es = u(start, _TS_CENTRE_END), u(_ES_CENTRE_END, _ES_FAR_END)
+    m_ts, m_es = steps(start, _TS_CENTRE_END), steps(_ES_CENTRE_END, _ES_FAR_END)
+    ts, es = start + h * m_ts, _ES_CENTRE_END + h * m_es
     e = np.exp(-2.0 * np.abs(_HALF_PI * np.sinh(ts)))
     tables = (e, 1.0 + e, _HALF_PI * np.cosh(ts) * 2.0, (1.0 + e) * (1.0 + e),
               np.exp(_HALF_PI * np.sinh(es)), _HALF_PI * np.cosh(es))
+    member, ends = None, (m_ts.size + m_es.size,)
+    if grid:
+        # a node m h from the start of its piece is new at level log2(2^level / gcd(m, 2^level))
+        levels = level - np.log2(np.gcd(np.concatenate([m_ts, m_es]), 2 ** level)).astype(int)
+        member = (levels[:, None] == np.arange(level + 1)).astype(float)
+        member.flags.writeable = False
+        ends = tuple(np.cumsum(np.bincount(levels)).tolist())
     for t in tables:
         t.flags.writeable = False
-    return (int(np.count_nonzero(ts < 0.0)),) + tables
+    return (int(np.count_nonzero(ts < 0.0)),) + tables + (member, ends)
 
 
 # Forming a table costs about as much as the rest of a level's
 # bookkeeping, so the tables of the first _KEPT_LEVELS levels, where most
 # laws converge, are kept for the life of the process: the grid of
-# levels 0 to _MIN_LEVEL and the new nodes of each later level.  A start
-# is a multiple of _FIRST_STEP in [-6, -0.5], so at most 60 tables of up
-# to 1,088 nodes are kept, 0.53 MB in all.  At finer levels the
-# integrand costs far more per node than its table, which is formed
-# afresh, as is the coarser grid of a budget below 2^_MIN_LEVEL.
+# levels 0 to _FIRST_TOP, with its level table, and the new nodes of
+# each later level.  A start is a multiple of _FIRST_STEP in [-6, -0.5],
+# so at most 48 tables of up to 1,088 nodes are kept, 0.62 MB in all.
+# At finer levels the integrand costs far more per node than its table,
+# which is formed afresh, as is the coarser grid of a budget below
+# 2^_FIRST_TOP.
 _KEPT_LEVELS = 7
 _kept_tables = functools.lru_cache(maxsize=None)(_tables)
 
@@ -195,26 +208,14 @@ def _level_nodes(start: float, level: int, grid: bool, lo, centre, width, scale)
     ``centre``, ``width = centre - lo`` and ``scale`` are columns, one
     law per row.  Tanh-sinh comes first and exp-sinh last, so that the
     first and the last node of level 0 are the outer ends, at lo and
-    far out.  Also returns the number of tanh-sinh nodes.
+    far out.  Also returns the last two entries of :func:`_tables`.
     """
-    n_neg, e, opp, dcosh, opp2, grow, ecosh = (
-        _kept_tables if _MIN_LEVEL <= level < _KEPT_LEVELS else _tables)(start, level, grid)
+    n_neg, e, opp, dcosh, opp2, grow, ecosh, member, ends = (
+        _kept_tables if _FIRST_TOP <= level < _KEPT_LEVELS else _tables)(start, level, grid)
     d = width * e / opp
     t = scale * grow
     return (np.concatenate([lo + d[:, :n_neg], centre - d[:, n_neg:], centre + t], axis=1),
-            np.concatenate([dcosh * width * e / opp2, ecosh * t], axis=1), e.size)
-
-
-def _on_level(v: np.ndarray, level: int, top: int, n_ts: int) -> np.ndarray:
-    """The part of ``v``, given on the grid of level ``top``, at the nodes of ``level``.
-
-    ``v`` holds the ``n_ts`` tanh-sinh nodes first.  The part is a
-    C-contiguous copy in the order of a pass of ``level`` alone, so that
-    its sums add the same terms in the same order.
-    """
-    s = 2 ** (top - level)  # the step of level, in grid steps
-    first, step = (0, s) if level == 0 else (s, 2 * s)
-    return np.concatenate([v[..., first:n_ts:step], v[..., n_ts + first::step]], axis=-1)
+            np.concatenate([dcosh * width * e / opp2, ecosh * t], axis=1), member, ends)
 
 
 def _checked(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -244,13 +245,14 @@ def integrate_rows(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, centre
     exp-sinh width.  ``g(x, laws)`` maps the abscissae ``x``, of shape
     ``(len(laws), n)`` with one row per law, of the laws with indices
     ``laws`` to an array of shape ``(len(laws), rows, n)``; it is called
-    once per level, for the laws still being refined.  ``offset``
-    (broadcast to one value per law and row) is added to each integral,
-    for a part of the half line integrated in closed form.
+    once per pass (the first covers levels 0 to 3, each later one a
+    level), for the laws still being refined.  ``offset`` (broadcast to
+    one value per law and row) is added to each integral, for a part of
+    the half line integrated in closed form.
 
     Every law gets the nodes, stopping rule and error estimate it would
     get alone.  The laws whose tanh-sinh pieces start at the same u (as
-    most laws of a family do) share one sweep: at each level their new
+    most laws of a family do) share one sweep: at each pass their new
     nodes are formed together, from one table of the parts that depend
     on u alone, and ``g`` is called once for all of them; a law leaves
     the sweep at the level where its own rows converge.  Returns, per
@@ -276,52 +278,57 @@ def _sweep(g, start: float, laws, lo, centre, scale, offset, cfg: QuadConfig,
            outcomes: list) -> None:
     """Refine the laws ``laws``, of one tanh-sinh start, level by level.
 
-    No law stops before _MIN_LEVEL, so the first pass evaluates levels 0
-    to _MIN_LEVEL (to the last level the budget allows, if coarser) in
-    one call of ``g``, on the grid of that level, and each later pass
-    one level.  Each level takes its own nodes back from the pass, in
-    its own order, so its sums are those of a pass of its own.  Writes
-    each law's outcome into ``outcomes`` as it leaves the sweep.
+    The first pass evaluates levels 0 to _FIRST_TOP (to the last level
+    the budget allows, if coarser) in one call of ``g``, on the grid of
+    that level, and each later pass one level.  A law leaves at the
+    first level from _MIN_LEVEL on where its rows converge, with that
+    level's value and estimate and the nodes of levels 0 to it counted.
+    Writes each law's outcome into ``outcomes`` as it leaves.
     """
     cols = (lo[:, None], centre[:, None], (centre - lo)[:, None], scale[:, None])
     last = int(cfg.max_subdivisions).bit_length() - 1  # 2 ** (last + 1) > max_subdivisions
-    level, used, best = 0, 0, math.inf
+    offset, size_offset = offset[..., None], np.abs(offset)[..., None]
+    level, used = 0, 0
     while True:
-        top = min(_MIN_LEVEL, last) if level == 0 else level
-        x, w, n_ts = _level_nodes(start, top, level == 0, *cols)
-        vals = np.asarray(g(x, laws), dtype=float)
-        parts = [(x, w, vals)] if level == top else [
-            [_on_level(v, j, top, n_ts) for v in (x, w, vals)] for j in range(top + 1)]
-        # no law leaves the sweep before the last level of a pass
-        for x_j, w_j, vals_j in parts:
-            h = _FIRST_STEP / 2 ** level
-            terms = _checked(vals_j, x_j) * w_j[:, None, :]
-            used += x_j.shape[1]
-            if level == 0:
-                body = h * terms.sum(axis=-1)
-                size = h * np.abs(terms).sum(axis=-1)
-                end_terms = np.maximum(np.abs(terms[:, :, 0]), np.abs(terms[:, :, -1]))
-            else:
-                body = 0.5 * body + h * terms.sum(axis=-1)
-                size = 0.5 * size + h * np.abs(terms).sum(axis=-1)
-            value = offset + body
-            size_all = np.abs(offset) + size
-            err = np.abs(value - best)
-            tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
-            done = ((level >= _MIN_LEVEL) & (err <= tol).all(axis=1)
-                    & (size_all > 0.0).all(axis=1))
-            if level == last or done.any():
-                for i in np.flatnonzero(done | (level == last)):
-                    outcomes[laws[i]] = _outcome(bool(done[i]), value[i], err[i], tol[i],
-                                                 size_all[i], end_terms[i], used)
-                if level == last or done.all():
-                    return
-                keep = ~done
-                laws, offset, body, size, end_terms, value = (
-                    a[keep] for a in (laws, offset, body, size, end_terms, value))
-                cols = tuple(c[keep] for c in cols)
-            best = value
-            level += 1
+        top = min(_FIRST_TOP, last) if level == 0 else level
+        x, w, member, ends = _level_nodes(start, top, level == 0, *cols)
+        terms = _checked(np.asarray(g(x, laws), dtype=float), x) * w[:, None, :]
+        # the trapezoid sum of level j is h_j times the sum of the terms
+        # of levels 0 to j: one running sum per law, row and level
+        if level == 0:
+            sums = np.cumsum(terms @ member, axis=-1)
+            mags = np.cumsum(np.abs(terms) @ member, axis=-1)
+            end_terms = np.maximum(np.abs(terms[:, :, 0]), np.abs(terms[:, :, -1]))
+        else:
+            sums = sums + terms.sum(axis=-1, keepdims=True)
+            mags = mags + np.abs(terms).sum(axis=-1, keepdims=True)
+        h = _FIRST_STEP / 2.0 ** np.arange(level, top + 1)
+        value, size_all = offset + h * sums, size_offset + h * mags
+        if level == 0:   # the levels below _MIN_LEVEL only start the sums
+            first = min(_MIN_LEVEL, top)
+            best, value, size_all, ends = (value[..., first - 1:first], value[..., first:],
+                                           size_all[..., first:], ends[first:])
+        err = np.abs(value - np.concatenate([best, value[..., :-1]], axis=-1))
+        tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol * size_all)
+        done = ((top >= _MIN_LEVEL) & ((err <= tol) & (size_all > 0.0)).all(axis=1)).tolist()
+        keep = []
+        for i, row in enumerate(done):
+            if True not in row and top < last:
+                keep.append(i)
+                continue
+            # a law leaves at its first converged level, or unconverged at the last one
+            j = row.index(True) if True in row else len(row) - 1
+            outcomes[laws[i]] = _outcome(row[j], value[i, :, j], err[i, :, j], tol[i, :, j],
+                                         size_all[i, :, j], end_terms[i], used + ends[j])
+        if not keep:
+            return
+        used += ends[-1]
+        sums, mags, best = sums[..., -1:], mags[..., -1:], value[..., -1:]
+        if len(keep) < len(laws):
+            laws, offset, size_offset, sums, mags, end_terms, best = (a[keep] for a in (
+                laws, offset, size_offset, sums, mags, end_terms, best))
+            cols = tuple(c[keep] for c in cols)
+        level = top + 1
 
 
 def _outcome(converged: bool, value, err, tol, size_all, end_terms, used: int):

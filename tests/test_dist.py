@@ -13,6 +13,7 @@ from chientropy.dist import (
     GammaLaw,
     NoncentralChiSq,
     ScaledLaw,
+    _log_origin_coefficient,
     _triple_of,
     sample,
 )
@@ -238,3 +239,25 @@ def test_support_validation():
             law.log_pdf(bad)
     with pytest.raises(ValueError):
         NoncentralChiSq(2.0, 1.0).log_pdf(np.array([1.0, -2.0]))
+
+
+def test_origin_coefficient_in_closed_form_matches_the_density_at_x0():
+    # The quadrature route of entropy() takes f = C x^(k/2 - 1) on
+    # (0, x0), with log C from the law's triple.  It must agree with
+    # log f(x0) - p log x0 at the x0 of that route, to the rounding of
+    # the terms on both sides.
+    eps = np.finfo(float).eps
+    laws = [NoncentralChiSq(k, lam) for k in (1.02, 2.0, 7.5, 300.0, 2e4)
+            for lam in (1e-3, 2.0, 400.0)]
+    laws += [CentralChiSq(1.02), CentralChiSq(3.0), CentralChiSq(2e4),
+             GammaLaw(0.51, 3.0), GammaLaw(1e4, 0.2), ScaledLaw(NoncentralChiSq(2.5, 0.7), 1e-3),
+             ScaledLaw(CentralChiSq(9.0), 40.0), ScaledLaw(NoncentralChiSq(2e4, 1.0), 7.0),
+             ScaledLaw(GammaLaw(3.0, 2.0), 1e-6)]
+    for law in laws:
+        k, lam, c = _triple_of(law)
+        m, v = law.mean, law.variance
+        x0 = 1e-17 * k * (v / m) * (v / m / m) / 8.0
+        lf, p_log_x0 = law.log_pdf(x0), (0.5 * k - 1.0) * math.log(x0)
+        terms = (lf, p_log_x0, 0.5 * lam, 0.5 * k * math.log(2.0 * c), math.lgamma(0.5 * k))
+        assert abs(_log_origin_coefficient(k, lam, c) - (lf - p_log_x0)) \
+            <= eps * sum(map(abs, terms)), law

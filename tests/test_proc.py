@@ -413,11 +413,12 @@ def test_failing_law_leaves_the_rest_of_a_study_alone():
 
 
 def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
-    # A curve evaluates log f once at the origin cuts x0 of all its
-    # quadrature laws and once per pass of each quadrature sweep.  A
-    # sweep's first pass holds levels 0 to 2, so it makes the passes its
-    # slowest law makes alone.  The laws that take the lambda series
-    # (here the late times, where lambda is small) make no call at all.
+    # A curve evaluates log f once per pass of each quadrature sweep and
+    # nowhere else: the origin piece takes its coefficient in closed
+    # form.  A sweep's first pass holds levels 0 to 3, so it makes the
+    # passes its slowest law makes alone.  The laws that take the lambda
+    # series (here the late times, where lambda is small) make no call
+    # at all.
     import chientropy.dist as dist
     import chientropy.quad as quad
 
@@ -453,17 +454,17 @@ def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
         passes, bessel = run(lambda: entropy(bessel_marginal(params, t), spec))
         k, lam, _ = _triple_of(bessel_marginal(params, t))
         if _lambda_series(k, lam, EntropyKind.GEN_RENYI_DIAG, 1.0, 1.0) is None:
-            assert bessel == passes + 1
+            assert bessel == passes
             alone.append(passes)
         else:
             assert (bessel, passes) == (0, 0)
     assert 0 < len(alone) < len(grid.times)
     sweeps.clear()
     passes, bessel = run(lambda: entropy_curve(params, grid, spec))
-    # each sweep starts with the grid of levels 0 to 2, then one level a pass
-    assert levels[0] == (2, True) and levels.count((2, True)) == len(sweeps)
+    # each sweep starts with the grid of levels 0 to 3, then one level a pass
+    assert levels[0] == (3, True) and levels.count((3, True)) == len(sweeps)
     for (level, _), now in zip(levels, levels[1:]):
-        assert now in ((2, True), (level + 1, False))
+        assert now in ((3, True), (level + 1, False))
     assert sorted(i for laws in sweeps for i in laws) == list(range(len(alone)))
-    assert bessel == passes + 1
+    assert bessel == passes
     assert passes == sum(max(alone[i] for i in laws) for laws in sweeps)

@@ -209,14 +209,20 @@ def _counting_exp(calls):
     return g
 
 
-@pytest.mark.parametrize("rel_tol, levels", [(1e-6, 4), (1e-11, 5)])
-def test_levels_zero_to_two_take_one_integrand_call(rel_tol, levels):
-    # no law stops before level 2, so one call evaluates levels 0 to 2
-    # and each later call one level: levels - 2 calls in all
+@pytest.mark.parametrize("rel_tol, levels", [(1e-4, 3), (1e-6, 4), (1e-11, 5)])
+def test_levels_zero_to_three_take_one_integrand_call(rel_tol, levels):
+    # one call evaluates levels 0 to 3 and each later call one level.  A
+    # law that converges at level 2 still leaves there, with the nodes
+    # of levels 0 to 2 counted and the value and estimate it had when
+    # each level took a call of its own
     calls = []
     (res,) = integrate_rows(_counting_exp(calls), 1e-7, 1.0, 1.0, QuadConfig(rel_tol=rel_tol))
-    assert calls == [sum(_LEVEL_NODES[:3])] + _LEVEL_NODES[3:levels]
-    assert res[0].subdivisions_used == sum(_LEVEL_NODES[:levels]) == {4: 242, 5: 482}[levels]
+    assert calls == [sum(_LEVEL_NODES[:4])] + _LEVEL_NODES[4:levels]
+    assert res[0].subdivisions_used == sum(_LEVEL_NODES[:levels])
+    assert res[0].subdivisions_used == {3: 122, 4: 242, 5: 482}[levels]
+    if levels == 3:
+        assert (res[0].value.hex(), res[0].error_estimate.hex()) == (
+            "0x1.fffffca647441p-1", "0x1.66096b2ebffffp-19")
     assert res[0].value == pytest.approx(math.exp(-1e-7), rel=rel_tol)
 
 
