@@ -41,7 +41,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +86,10 @@ _MILLER_ROUNDING = 16.0
 
 # The lambda series gives up on a law after this many terms.
 _SERIES_TERMS = 40
+
+_DEFAULT_QUAD = QuadConfig()
+# int f = 1: the power row of order 1, never integrated
+_ORDER_ONE = QuadResult(1.0, 0.0, 0, True, 1.0)
 
 
 class EntropyKind(enum.Enum):
@@ -266,6 +271,36 @@ def existence_gate(k: float, spec: EntropySpec) -> GateDecision:
     return GateDecision(True)
 
 
+class _RowTable:
+    """Read-only rows by key, at most _ROW_TABLE_BYTES, oldest out first; a row
+    larger than that (level 13 on) is not kept.  Stores hold the lock and make room
+    before they add, so threads evict each row once and ``nbytes`` stays in bound."""
+
+    def __init__(self) -> None:
+        self.rows, self.nbytes, self.lock = {}, 0, threading.Lock()
+
+    def put(self, key, row: np.ndarray) -> None:
+        row.flags.writeable = False
+        with self.lock:
+            if key in self.rows or row.nbytes > _ROW_TABLE_BYTES:
+                return
+            while self.nbytes + row.nbytes > _ROW_TABLE_BYTES:
+                self.nbytes -= self.rows.pop(next(iter(self.rows))).nbytes
+            self.rows[key] = row
+            self.nbytes += row.nbytes
+
+    def clear(self) -> None:
+        with self.lock:
+            self.rows.clear()
+            self.nbytes = 0
+
+
+# 64 rows of 1,088 nodes, the new nodes of level 6 at the widest start: 0.56 MB.
+# On the process_curves benchmark a row is read again at most 41 stores later.
+_ROW_TABLE_BYTES = 64 * 1088 * 8
+_ROWS = _RowTable()
+
+
 def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     """int f^a ("power") or int f^a log f ("log") for each ``(a, kind)`` row, per law.
 
@@ -281,6 +316,15 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     integrated one by one, so that only the laws that fail alone report
     it.  So do the laws whose x0 underflows to 0, or whose integrand
     overflows at a node (both only at extreme scale factors).
+
+    The noncentral log f rows are kept in ``_ROWS`` by (k, lam, split
+    point, node count), so a later call on the same law forms log f only
+    on the passes no call has made.  (k, lam) and the split point fix
+    x0, centre, scale and tanh-sinh start; the count fixes the pass:
+    N 2^t + 2 nodes for levels 0 to t (t = 3, less at a budget below 8),
+    N 2^(j-1) at a later level j, N >= 23.  Hashing that tuple takes
+    0.14 us, the bytes of a row 0.8 to 2.4 us.  :func:`log_bessel_i`
+    works point by point, so a kept row is the row the call would form.
 
     On (0, x0) every density of the family is C x^p with p = k/2 - 1 to
     a relative 1e-17: for a law c NC(k, lam) the first correction term
@@ -299,12 +343,12 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     value of the (a, "power") row, 1 at a = 1, plus a times the
     ``magnitude`` of the log row.
     """
-    cfg = config if config is not None else QuadConfig()
+    cfg = config if config is not None else _DEFAULT_QUAD
     triples = [_triple_of(law) for law in laws]
     k = triples[0][0]
-    noncentral = all(lam > 0.0 and c == 1.0 for _, lam, c in triples)
-    if noncentral:
-        lam = [t[1] for t in triples]
+    lam = [t[1] for t in triples]
+    noncentral = all(v > 0.0 and c == 1.0 for _, v, c in triples)
+    if noncentral and len(laws) > 1:
         columns = [np.array(v)[:, None] for v in (
             lam, [math.log(v) for v in lam], [math.sqrt(v) for v in lam])]
 
@@ -312,7 +356,22 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         try:
             if not noncentral:
                 return laws[0].log_pdf(x)
-            return _nc_log_pdf(x, k, *[col[i] for col in columns])
+            if len(laws) == 1:
+                key = (k, lam[0], cfg.split_point, x.shape[1])
+                row = _ROWS.rows.get(key)
+                if row is None:
+                    row = _nc_log_pdf(x[0], k, lam[0], math.log(lam[0]), math.sqrt(lam[0]))
+                    _ROWS.put(key, row)
+                return row[None]
+            keys = [(k, lam[j], cfg.split_point, x.shape[1]) for j in i.tolist()]
+            found = [_ROWS.rows.get(key) for key in keys]
+            miss = [r for r, row in enumerate(found) if row is None]
+            if miss:
+                fresh = _nc_log_pdf(x[miss], k, *[col[i[miss]] for col in columns])
+                for r, row in zip(miss, fresh):
+                    found[r] = row.copy()
+                    _ROWS.put(keys[r], found[r])
+            return np.stack(found)
         except ValueError as exc:
             raise NonConvergence(str(exc), math.nan, math.inf, 0) from exc
 
@@ -357,11 +416,12 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     for res, m, v in zip(results, mean, var):
         if not isinstance(res, NonConvergence):
             d = 8.0 * _EPS * (1.0 + m * m / v + 0.5 * k * abs(math.log(m)))
-            got = {(1.0, "power"): QuadResult(1.0, 0.0, 0, True, 1.0), **dict(zip(todo, res))}
+            got = {(1.0, "power"): _ORDER_ONE, **dict(zip(todo, res))}
             for a, kind in todo:
                 r = got[a, kind]
                 slack = got[a, "power"].value + a * r.magnitude if kind == "log" else a * r.value
-                got[a, kind] = replace(r, error_estimate=r.error_estimate + d * slack)
+                got[a, kind] = QuadResult(r.value, r.error_estimate + d * slack,
+                                          r.subdivisions_used, True, r.magnitude)
             res = [got[row] for row in rows]
         out.append(res)
     return out
@@ -449,9 +509,9 @@ def _entropies(laws: list, spec: EntropySpec, config: QuadConfig | None = None, 
     noncentral laws that refuse the series are integrated in one sweep
     per k.  Each of their results has the state and reason
     :func:`entropy` gives for that law alone, and its value and error
-    estimate to 1e-14 relative: they are bit-identical where ``ive``
-    gives log I, while the log-Bessel fallbacks sum until every point
-    of the array has converged, which can move a value by a few ulps.
+    estimate to 1e-14 relative (bit for bit on every curve of the
+    tests).  No result depends on what was evaluated before: a row that
+    :func:`_integrals` reads from earlier calls is the one it would form.
     """
     triples = [_triple_of(law) for law in laws]
     family, a, b = _family(spec)

@@ -151,7 +151,7 @@ def entropy_curve(params: CIRParams | BesselParams, grid: TimeGrid,
     """Entropy of the marginal law at each grid time.
 
     Each row is ``entropy(marginal, spec, config)``, to 1e-14 relative
-    in value (bit-identical where ``ive`` gives log I).  The marginals
+    in value (bit for bit on every curve of the tests).  The marginals
     share k, so those that need quadrature are integrated together: one
     log-density evaluation per quadrature level covers the nodes of
     every time not yet converged whose nodes start at the same point.

@@ -261,16 +261,20 @@ def integrate_rows(g: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, centre
     and :class:`IntegrandFailure`, propagate.
     """
     cfg = config if config is not None else QuadConfig()
-    lo, centre, scale = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                              for v in (lo, centre, scale)))
-    offset = np.atleast_2d(np.asarray(offset, dtype=float))
-    offset = np.broadcast_to(offset, (lo.size, offset.shape[1]))
-    starts = np.array([_start(a, b) for a, b in zip(lo.tolist(), centre.tolist())])
+    lo, centre, scale = (np.array(v, dtype=float, ndmin=1) for v in (lo, centre, scale))
+    if not lo.size == centre.size == scale.size:
+        lo, centre, scale = np.broadcast_arrays(lo, centre, scale)
+    offset = np.array(offset, dtype=float, ndmin=2)
+    if offset.shape[0] != lo.size:
+        offset = np.broadcast_to(offset, (lo.size, offset.shape[1]))
+    starts = [_start(a, b) for a, b in zip(lo.tolist(), centre.tolist())]
     outcomes = [None] * lo.size
-    for start in sorted(set(starts.tolist())):
-        laws = np.flatnonzero(starts == start)
-        _sweep(g, start, laws, lo[laws], centre[laws], scale[laws], offset[laws], cfg,
-               outcomes)
+    for start in sorted(set(starts)):
+        laws = np.array([i for i, s in enumerate(starts) if s == start])
+        cols = (lo, centre, scale, offset)
+        if laws.size < lo.size:
+            cols = tuple(c[laws] for c in cols)
+        _sweep(g, start, laws, *cols, cfg, outcomes)
     return outcomes
 
 

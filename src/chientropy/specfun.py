@@ -48,9 +48,10 @@ def _log_i_series(nu: float, x: np.ndarray) -> np.ndarray:
     ``logaddexp``, so nothing overflows or underflows whatever the order
     or argument.  The term ratio r = z / ((m+1)(m+1+nu)) with z = x^2/4
     decreases in m, so once r < 1 the tail after a term is at most
-    term * r / (1 - r); the sum stops when that bound falls below
-    _TERM_EPS of the total.  Raises ``ValueError`` rather than return a
-    truncated sum if the term cap is reached first.
+    term * r / (1 - r); the sum at each point stops when that bound
+    falls below _TERM_EPS of its total, so a point's value does not
+    depend on the other points of the array.  Raises ``ValueError``
+    rather than return a truncated sum if the term cap is reached first.
 
     The terms of the largest x grow up to their peak, at the first m
     with (m+1)(m+1+nu) > z, and shrink after it.  A total of at most
@@ -78,14 +79,19 @@ def _log_i_series(nu: float, x: np.ndarray) -> np.ndarray:
     if m_lo >= cap or log_term(cap, lh) > (max(log_term(m, lh) for m in range(m_lo, m_lo + 5))
                                            + math.log(cap) + log_eps + 1.0):
         raise failure
-    total = np.full_like(x, -np.inf)
-    for m in range(cap):
-        term = log_term(m, log_half)
-        total = np.logaddexp(total, term)
-        log_ratio = log_z - math.log((m + 1.0) * (m + 1.0 + nu))
-        if np.all(log_ratio < 0.0) and np.all(
-                term + log_ratio - np.log1p(-np.exp(log_ratio)) < total + log_eps):
-            return total
+    out, todo, total = np.empty_like(x), np.arange(x.size), np.full_like(x, -np.inf)
+    with np.errstate(all="ignore"):   # a ratio >= 1 gives a bound of inf or NaN: not done
+        for m in range(cap):
+            term = log_term(m, log_half)
+            total = np.logaddexp(total, term)
+            log_ratio = log_z - math.log((m + 1.0) * (m + 1.0 + nu))
+            done = (log_ratio < 0.0) & (
+                term + log_ratio - np.log1p(-np.exp(log_ratio)) < total + log_eps)
+            if done.any():   # those points leave; ``todo`` holds the index of the rest
+                out[todo[done]] = total[done]
+                todo, total, log_half, log_z = (v[~done] for v in (todo, total, log_half, log_z))
+                if not todo.size:
+                    return out
     raise failure
 
 
@@ -93,25 +99,26 @@ def _log_i_hankel(nu: float, x: np.ndarray) -> np.ndarray:
     """Large-argument expansion (DLMF 10.40.1) of log I_nu(x).
 
     I_nu(x) ~ e^x (2 pi x)^(-1/2) sum(k) t_k with t_0 = 1 and
-    t_k = -t_(k-1) (4 nu^2 - (2k-1)^2) / (8 k x).  The sum stops once a
-    term falls below _TERM_EPS of the total; raises ``ValueError`` if
-    the terms stop shrinking first (nu^2 comparable to x), where the
-    expansion cannot give I_nu to double precision.
+    t_k = -t_(k-1) (4 nu^2 - (2k-1)^2) / (8 k x).  The sum at each point
+    stops once a term falls below _TERM_EPS of its total; raises
+    ``ValueError`` if the terms of a point stop shrinking first (nu^2
+    comparable to x), where the expansion cannot give I_nu to double
+    precision.
     """
     mu = 4.0 * nu * nu
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term, total, summing = np.ones_like(x), np.ones_like(x), np.ones(x.shape, dtype=bool)
     for k in range(1, _SERIES_MAX_TERMS):
         nxt = -term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if np.any(np.abs(nxt) >= np.abs(term)):
+        if np.any(summing & (np.abs(nxt) >= np.abs(term))):
             break
-        term = nxt
-        total += term
-        if np.all(np.abs(term) < _TERM_EPS * np.abs(total)):
+        term = np.where(summing, nxt, term)
+        total += np.where(summing, term, 0.0)
+        summing &= np.abs(term) >= _TERM_EPS * np.abs(total)
+        if not summing.any():
             return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(total)
     raise ValueError(
         f"log_bessel_i large-argument expansion for nu = {nu} did not "
-        f"converge at x down to {float(np.min(x))}")
+        f"converge at x down to {float(np.min(x[summing]))}")
 
 
 def log_bessel_i(nu: float, x):

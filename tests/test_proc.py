@@ -5,6 +5,7 @@ regime."""
 import math
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from chientropy.dist import CentralChiSq, GammaLaw, NoncentralChiSq, ScaledLaw, 
 from chientropy.entropy import (
     REASON_NONCONVERGENCE,
     REASON_PARAMETER,
+    _ROW_TABLE_BYTES,
+    _ROWS,
     EntropyKind,
     EntropySpec,
+    _family,
     _integrals,
     _lambda_series,
     entropy,
@@ -352,30 +356,34 @@ def _assert_same(batched, solo, where):
         assert abs(batched.value - solo.value) <= 1e-14 * abs(solo.value), where
 
 
+# CIR rows: b t from 1e-3 to 2000, with subnormal noncentralities at
+# t = 720 and 744 and lam = 0 (the closed form) from b t = 745.2 on;
+# r0 = a/b and r0 != a/b.  Bessel rows from t = 1e-6 (lam = 4e6).
+CURVES = [
+    (CIRParams(1.0, 1.0, 1.0, 1.0),
+     (1e-3, 0.1, 1.0, 5.0, 50.0, 700.0, 720.0, 744.0, 800.0, 2000.0)),
+    (CIRParams(1.5, 0.7, 1.2, 3.0), (0.01, 0.5, 3.0, 30.0, 1000.0, 1100.0)),
+    (BesselParams(1.0, 1.0, 1.0), (1e-6, 1e-3, 1.0, 100.0, 1e4)),
+    (BesselParams(2.5, 1.3, 0.4), (0.05, 2.0, 60.0)),
+]
+B_STUDY = (1.5, 1.2, 0.8, 2.0, [1.0, 0.3, 0.1, 1e-3, 1e-6])   # a, sigma, r0, t, b grid
+LAMBDA_GRID = [50.0, 1.0, 0.01, 1e-8, 0.0]
+
+
 @pytest.mark.parametrize("config", [None, QuadConfig(split_point=2.0)],
                          ids=["split-at-mean", "split-at-2"])
 @pytest.mark.parametrize("spec", SIX_SPECS, ids=lambda s: f"{s.kind.value}-{s.alpha}-{s.beta}")
 def test_curves_and_studies_match_per_law_entropy(spec, config):
-    # CIR rows: b t from 1e-3 to 2000, with subnormal noncentralities at
-    # t = 720 and 744 and lam = 0 (the closed form) from b t = 745.2 on;
-    # r0 = a/b and r0 != a/b.  Bessel rows from t = 1e-6 (lam = 4e6).
     # A pinned split point gives every law of a sweep the same centre.
-    curves = [
-        (CIRParams(1.0, 1.0, 1.0, 1.0),
-         (1e-3, 0.1, 1.0, 5.0, 50.0, 700.0, 720.0, 744.0, 800.0, 2000.0)),
-        (CIRParams(1.5, 0.7, 1.2, 3.0), (0.01, 0.5, 3.0, 30.0, 1000.0, 1100.0)),
-        (BesselParams(1.0, 1.0, 1.0), (1e-6, 1e-3, 1.0, 100.0, 1e4)),
-        (BesselParams(2.5, 1.3, 0.4), (0.05, 2.0, 60.0)),
-    ]
-    for params, times in curves:
+    for params, times in CURVES:
         marginal = cir_marginal if isinstance(params, CIRParams) else bessel_marginal
         for row in entropy_curve(params, TimeGrid(times), spec, config):
             _assert_same(row.result, entropy(marginal(params, row.t), spec, config),
                          (params, row.t))
 
-    a, sigma, r0, t = 1.5, 1.2, 0.8, 2.0
+    a, sigma, r0, t, b_grid = B_STUDY
     reference = entropy(bessel_marginal(BesselParams(a, sigma, r0), t), spec, config)
-    for row in b_to_zero_study(a, sigma, r0, t, [1.0, 0.3, 0.1, 1e-3, 1e-6], spec, config):
+    for row in b_to_zero_study(a, sigma, r0, t, b_grid, spec, config):
         solo = entropy(cir_marginal(CIRParams(a, row.b, sigma, r0), t), spec, config)
         _assert_same(row.result, solo, row.b)
         if solo.is_finite and reference.is_finite:
@@ -383,7 +391,7 @@ def test_curves_and_studies_match_per_law_entropy(spec, config):
 
     for k in (3.0, 1.5):
         central = entropy(CentralChiSq(k), spec, config)
-        for row in lambda_convergence_study(k, spec, [50.0, 1.0, 0.01, 1e-8, 0.0], config):
+        for row in lambda_convergence_study(k, spec, LAMBDA_GRID, config):
             solo = entropy(NoncentralChiSq(k, row.lam), spec, config)
             _assert_same(row.result, solo, (k, row.lam))
             if solo.is_finite and central.is_finite:
@@ -413,12 +421,14 @@ def test_failing_law_leaves_the_rest_of_a_study_alone():
 
 
 def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
-    # A curve evaluates log f once per pass of each quadrature sweep and
-    # nowhere else: the origin piece takes its coefficient in closed
-    # form.  A sweep's first pass holds levels 0 to 3, so it makes the
-    # passes its slowest law makes alone.  The laws that take the lambda
-    # series (here the late times, where lambda is small) make no call
-    # at all.
+    # On a cleared row table, a curve evaluates log f once per pass of
+    # each quadrature sweep and nowhere else: the origin piece takes its
+    # coefficient in closed form.  A sweep's first pass holds levels 0
+    # to 3, so it makes the passes its slowest law makes alone.  The
+    # laws that take the lambda series (here the late times, where
+    # lambda is small) make no call at all.  On the table the first
+    # curve leaves, a second spec on the same curve makes a call only on
+    # the passes of a law that the first did not make.
     import chientropy.dist as dist
     import chientropy.quad as quad
 
@@ -441,30 +451,129 @@ def test_a_curve_makes_one_log_bessel_call_per_pass(monkeypatch):
     monkeypatch.setattr(quad, "_level_nodes", counted_level_nodes)
     monkeypatch.setattr(quad, "_sweep", recorded_sweep)
 
-    def run(evaluate):
+    def run(evaluate, cold=True):
+        if cold:
+            _ROWS.clear()
         levels.clear()
+        sweeps.clear()
         before = calls[0]
         evaluate()
         return len(levels), calls[0] - before
 
-    params, spec = BesselParams(1.3, 0.9, 0.4), EntropySpec.shannon()
+    params = BesselParams(1.3, 0.9, 0.4)
     grid = TimeGrid(tuple(10.0 ** e for e in range(-6, 8)))
-    alone = []   # passes of each quadrature law alone
-    for t in grid.times:
-        passes, bessel = run(lambda: entropy(bessel_marginal(params, t), spec))
-        k, lam, _ = _triple_of(bessel_marginal(params, t))
-        if _lambda_series(k, lam, EntropyKind.GEN_RENYI_DIAG, 1.0, 1.0) is None:
-            assert bessel == passes
-            alone.append(passes)
-        else:
-            assert (bessel, passes) == (0, 0)
-    assert 0 < len(alone) < len(grid.times)
-    sweeps.clear()
-    passes, bessel = run(lambda: entropy_curve(params, grid, spec))
+
+    def alone(spec):
+        # the passes of each quadrature law alone, by time
+        out = {}
+        for t in grid.times:
+            passes, bessel = run(lambda: entropy(bessel_marginal(params, t), spec))
+            k, lam, _ = _triple_of(bessel_marginal(params, t))
+            if _lambda_series(k, lam, *_family(spec)) is None:
+                assert bessel == passes
+                out[t] = passes
+            else:
+                assert (bessel, passes) == (0, 0)
+        return out
+
+    first, second = EntropySpec.shannon(), EntropySpec.renyi(2.0)
+    made, needed = alone(first), alone(second)
+    assert 0 < len(made) < len(grid.times)
+    passes, bessel = run(lambda: entropy_curve(params, grid, first))
     # each sweep starts with the grid of levels 0 to 3, then one level a pass
     assert levels[0] == (3, True) and levels.count((3, True)) == len(sweeps)
     for (level, _), now in zip(levels, levels[1:]):
         assert now in ((3, True), (level + 1, False))
-    assert sorted(i for laws in sweeps for i in laws) == list(range(len(alone)))
+    times = sorted(made)   # the quadrature laws of the curve, in order
+    assert sorted(i for laws in sweeps for i in laws) == list(range(len(times)))
     assert bessel == passes
-    assert passes == sum(max(alone[i] for i in laws) for laws in sweeps)
+    assert passes == sum(max(made[times[i]] for i in laws) for laws in sweeps)
+
+    passes, bessel = run(lambda: entropy_curve(params, grid, second), cold=False)
+    times = sorted(needed)
+    assert passes == sum(max(needed[times[i]] for i in laws) for laws in sweeps)
+    # pass j of a sweep forms log f iff one of its laws is there (needed > j)
+    # while the first curve did not take that law so far (made <= j)
+    assert bessel == sum(
+        any(made.get(times[i], 0) <= j < needed[times[i]] for i in laws)
+        for laws in sweeps for j in range(max(needed[times[i]] for i in laws)))
+    assert bessel < passes
+
+
+def _battery(spec, config):
+    """Every row of the curves and studies of the test above, for one spec and config."""
+    rows = [row for params, times in CURVES
+            for row in entropy_curve(params, TimeGrid(times), spec, config)]
+    rows += b_to_zero_study(*B_STUDY, spec, config)
+    for k in (3.0, 1.5):
+        rows += lambda_convergence_study(k, spec, LAMBDA_GRID, config)
+    return [row.result for row in rows]
+
+
+def test_results_do_not_depend_on_the_rows_kept_from_earlier_calls():
+    # Every value and error estimate is the same, bit for bit, on a
+    # cleared row table and on one warmed by the other specs and
+    # configs: a key that left out the split point, or the budget (which
+    # sets the first pass), would read rows of other nodes.
+    runs = [(spec, config) for spec in SIX_SPECS
+            for config in (None, QuadConfig(split_point=2.0), QuadConfig(max_subdivisions=4))]
+    cold = {}
+    for run in runs:
+        _ROWS.clear()
+        cold[run] = _battery(*run)
+    _ROWS.clear()
+    for run in reversed(runs):
+        assert _battery(*run) == cold[run], run
+    # Large orders, where log I comes from the series fallback: the rows
+    # of NC(2e4, 1.5) and NC(2e4, 1) formed in one batch by a study are
+    # those each law forms alone; NC(1.6e4, 100), whose fallback cannot
+    # converge from its third pass on, stays undefined on its own rows.
+    spec = EntropySpec.renyi(8.0)
+    laws = [NoncentralChiSq(2e4, 1.5), NoncentralChiSq(2e4, 1.0), NoncentralChiSq(1.6e4, 100.0)]
+    cold = []
+    for law in laws:
+        _ROWS.clear()
+        cold.append(entropy(law, spec))
+    assert [res.state for res in cold] == ["finite", "finite", "undefined"]
+    _ROWS.clear()
+    study = [row.result for row in lambda_convergence_study(2e4, spec, [1.5, 1.0])]
+    assert study == cold[:2]
+    assert [entropy(law, spec) for law in laws] == cold
+
+
+def test_the_row_table_stays_within_its_bound():
+    # 1,000 laws that never repeat, drawn like those of the law_sweep
+    # benchmark, alone and in pairs of one k, from three threads at once
+    # that switch often: the table keeps at most _ROW_TABLE_BYTES (64
+    # rows of 1,088 nodes), counts each row once, and holds each as a
+    # read-only array of its own, not a view of the batch it came from.
+    rng = np.random.default_rng(2026)
+    k = np.exp(rng.uniform(math.log(1.05), math.log(12.0), 750))
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 1000))
+    batches = [[NoncentralChiSq(k[i], lam[i])] for i in range(500)]
+    batches += [[NoncentralChiSq(k[i], lam[2 * i - 500]), NoncentralChiSq(k[i], lam[2 * i - 499])]
+                for i in range(500, 750)]
+    rows = [(1.0, "log"), (1.0, "power")]
+
+    def evaluate(part):
+        for laws in part:
+            _integrals(laws, rows, None)
+            assert _ROWS.nbytes <= _ROW_TABLE_BYTES
+
+    _ROWS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for done in [pool.submit(evaluate, batches[i::3]) for i in range(3)]:
+                done.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    kept = list(_ROWS.rows.values())
+    assert _ROW_TABLE_BYTES == 64 * 1088 * 8
+    assert sum(row.nbytes for row in kept) == _ROWS.nbytes <= _ROW_TABLE_BYTES
+    assert _ROWS.nbytes > _ROW_TABLE_BYTES - 17408 * 8   # full, within one row
+    assert all(row.base is None and not row.flags.writeable for row in kept)
+    # a row larger than the whole table (a level past 12) is not kept, nor evicts
+    _ROWS.put("too large", np.zeros(_ROW_TABLE_BYTES // 8 + 1))
+    assert "too large" not in _ROWS.rows and list(_ROWS.rows.values()) == kept

@@ -10,7 +10,8 @@ import pytest
 from support import nc_log_power_integral
 
 from chientropy.dist import CentralChiSq, NoncentralChiSq, _triple_of
-from chientropy.entropy import EntropySpec, _family, _lambda_series, entropy, existence_gate
+from chientropy.entropy import (_ROWS, EntropySpec, _family, _lambda_series, entropy,
+                                existence_gate)
 from chientropy.proc import BesselParams, TimeGrid, bessel_marginal, entropy_curve
 
 SPECS = {
@@ -83,8 +84,10 @@ def test_the_gamma_closed_form_bounds_its_cancellation(k):
 
 def test_large_order_laws_in_the_window_make_no_log_bessel_call(monkeypatch):
     # NC(2e4, 1) took 0.85 s by quadrature, whose log-Bessel series runs
-    # close to its term cap at that order
+    # close to its term cap at that order.  The row table is cleared, so
+    # that rows kept from earlier tests cannot hide a quadrature route.
     dist = sys.modules["chientropy.dist"]
+    _ROWS.clear()
     log_bessel_i, calls = dist.log_bessel_i, []
 
     def counted(nu, x):
