@@ -16,12 +16,13 @@ Since int f = 1, they are three functionals (Nielsen & Nock, J. Phys. A
 * Shannon is the diagonal at alpha = 1:     H = H_{1,1};
 * Tsallis is Sharma-Mittal at beta = alpha: T_alpha = S_{alpha,alpha}.
 
-An order-1 power integral is never computed: it is 1 exactly.
-
-A law c NC(k, lam) takes one of three routes (see :func:`entropy`):
-the gamma closed form at lam = 0, the series of NC(k, lam) in lam at
-small lam (:func:`_lambda_series`), and quadrature of NC(k, lam)
-otherwise.  Each gives its result with an error estimate.
+Each of the three reads rows of two kinds, listed by :func:`_rows`: the
+power row (o, False) is log int f^o, 0 exactly at o = 1, and the
+diagonal row (o, True) is H_{o,o}.  A law c NC(k, lam) takes one of
+three routes (see :func:`entropy`), each giving every row as (value,
+error estimate) for :func:`_assemble`: the gamma closed form at lam = 0
+(:func:`_gamma_row`), the series of NC(k, lam) in lam at small lam
+(:func:`_lambda_series`), and quadrature otherwise (:func:`_integrals`).
 
 Every evaluation is gated on the existence condition for this family:
 the effective degrees of freedom must exceed 1, and each order a used
@@ -48,7 +49,7 @@ import numpy as np
 
 from .dist import (CentralChiSq, Law, NoncentralChiSq, _log_origin_coefficient,
                    _nc_log_pdf, _triple_of)
-from .quad import IntegrandFailure, NonConvergence, QuadConfig, QuadResult, integrate_rows
+from .quad import IntegrandFailure, NonConvergence, QuadConfig, integrate_rows
 from .quad import integrate_halfline  # noqa: F401  (bench/spans.py wraps this binding)
 
 __all__ = [
@@ -88,8 +89,8 @@ _MILLER_ROUNDING = 16.0
 _SERIES_TERMS = 40
 
 _DEFAULT_QUAD = QuadConfig()
-# int f = 1: the power row of order 1, never integrated
-_ORDER_ONE = QuadResult(1.0, 0.0, 0, True, 1.0)
+# log int f = 0: the power row of order 1, which no route computes
+_ORDER_ONE = (1.0, False)
 
 
 class EntropyKind(enum.Enum):
@@ -302,14 +303,15 @@ _ROWS = _RowTable()
 
 
 def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
-    """int f^a ("power") or int f^a log f ("log") for each ``(a, kind)`` row, per law.
+    """(value, error estimate) of each ``(o, diagonal)`` row of :func:`_rows`, per law.
 
     The laws are NC(k, lam_i) of one k, or any one law.  Returns, per
-    law, the list of its results, one per row, or the
-    :class:`NonConvergence` it met; a law never changes another's
-    outcome.  A power row of order 1 is int f = 1 exactly and is never
+    law, the list of its row values, or the :class:`NonConvergence` it
+    met; a law never changes another's outcome.  A power row is
+    log int f^o, a diagonal row -int f^o log f / int f^o; they read the
+    integrals int f^o and int f^o log f, and int f = 1 is never
     integrated.  One log-density evaluation per pass of a sweep of
-    :func:`integrate_rows` feeds every row of the sweep's laws: the
+    :func:`integrate_rows` feeds every integral of the sweep's laws: the
     noncentral formula of ``law.log_pdf`` with one column per law, or,
     for a law of another form, its own ``log_pdf``.  Where log f cannot
     be formed at a node (k/2 - 1 above about 8000) the laws are
@@ -338,10 +340,10 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     noncentral law the terms -(x + lam)/2 and log I(sqrt(lam x)) are
     each about lam, or 4 mean^2/var, and the power x^(k/2-1) and
     log Gamma(k/2) about (k/2) |log mean|.  A relative error d of f
-    moves int f^a by d a int f^a, and int f^a log f by at most
-    d int |f^a (1 + a log f)| <= d (int f^a + a int |f^a log f|): the
-    value of the (a, "power") row, 1 at a = 1, plus a times the
-    ``magnitude`` of the log row.
+    moves int f^o by d o int f^o, and int f^o log f by at most
+    d int |f^o (1 + o log f)| <= d (int f^o + o int |f^o log f|): the
+    value of int f^o, 1 at o = 1, plus o times the ``magnitude`` of
+    int f^o log f.
     """
     cfg = config if config is not None else _DEFAULT_QUAD
     triples = [_triple_of(law) for law in laws]
@@ -379,22 +381,22 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     mean = [law.mean for law in laws]
     var = [law.variance for law in laws]
     x0 = [1e-17 * k * (v / m) * (v / m / m) / 8.0 for m, v in zip(mean, var)]
-    todo = [row for row in rows if row != (1.0, "power")]
+    # the integrals: (o, True) is int f^o log f, (o, False) int f^o
+    todo = [(o, log) for o, diagonal in rows for log in ((True, False) if diagonal else (False,))
+            if (o, log) != _ORDER_ONE]
 
-    def origin(triple, x0, a, kind):
+    def origin(triple, x0, a, log):
         log_c, log_x0, q = _log_origin_coefficient(*triple), math.log(x0), a * p + 1.0
         part = math.exp(a * log_c + q * log_x0 - math.log(q))
-        if kind == "power":
-            return part
-        return part * (log_c + p * (log_x0 - 1.0 / q))
+        return part * (log_c + p * (log_x0 - 1.0 / q)) if log else part
 
     def g(x, i):
         lp = log_f(x, i)
         out = np.empty((x.shape[0], len(todo), x.shape[1]))
         with np.errstate(over="ignore"):
-            for r, (a, kind) in enumerate(todo):
+            for r, (a, log) in enumerate(todo):
                 w = np.exp(a * lp)
-                out[:, r] = w if kind == "power" else np.where(w > 0.0, w * lp, 0.0)
+                out[:, r] = np.where(w > 0.0, w * lp, 0.0) if log else w
         return out
 
     try:
@@ -404,7 +406,7 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
         results = integrate_rows(
             g, x0, mean if cfg.split_point is None else cfg.split_point,
             [math.sqrt(v) for v in var], cfg,
-            offset=[[origin(t, x, a, kind) for a, kind in todo] for t, x in zip(triples, x0)])
+            offset=[[origin(t, x, a, log) for a, log in todo] for t, x in zip(triples, x0)])
     except (NonConvergence, IntegrandFailure) as exc:
         if len(laws) == 1:
             if isinstance(exc, IntegrandFailure):  # f^a overflows at a node
@@ -416,13 +418,18 @@ def _integrals(laws: list, rows, config: QuadConfig | None) -> list:
     for res, m, v in zip(results, mean, var):
         if not isinstance(res, NonConvergence):
             d = 8.0 * _EPS * (1.0 + m * m / v + 0.5 * k * abs(math.log(m)))
-            got = {(1.0, "power"): _ORDER_ONE, **dict(zip(todo, res))}
-            for a, kind in todo:
-                r = got[a, kind]
-                slack = got[a, "power"].value + a * r.magnitude if kind == "log" else a * r.value
-                got[a, kind] = QuadResult(r.value, r.error_estimate + d * slack,
-                                          r.subdivisions_used, True, r.magnitude)
-            res = [got[row] for row in rows]
+            got, res = dict(zip(todo, res)), []
+            for o, diagonal in rows:
+                r = got.get((o, False))
+                z, dz = (1.0, 0.0) if r is None else (r.value, r.error_estimate + d * (o * r.value))
+                if diagonal:
+                    r = got[o, True]
+                    err = r.error_estimate + d * (z + o * r.magnitude)
+                    res.append((-r.value / z, (err + abs(r.value) * dz / z) / z))
+                else:
+                    # int f^o sums terms >= 0, so its value is its magnitude,
+                    # which integrate_rows only accepts when it is positive
+                    res.append((math.log(z), dz / z))
         out.append(res)
     return out
 
@@ -453,20 +460,25 @@ def _excluded(family: EntropyKind, a: float, b: float) -> bool:
     return False
 
 
-def _power_orders(family: EntropyKind, a: float, b: float) -> tuple[float, ...]:
-    """The orders o of the log int f^o that ``family`` reads off the diagonal."""
-    return (a, b) if family is EntropyKind.GEN_RENYI else (a,)
+def _rows(family: EntropyKind, a: float, b: float) -> list[tuple[float, bool]]:
+    """The rows ``family`` reads at orders (a, b), as (order, diagonal) pairs.
 
-
-def _assemble(family: EntropyKind, a: float, b: float, u: tuple,
-              v: tuple = (0.0, 0.0)) -> EntropyResult:
-    """The entropy of ``family`` at orders (a, b) as a finite result.
-
-    ``u`` is (log int f^a, its error estimate) and ``v`` the same for
-    order b, which only generalized Renyi reads; on the diagonal ``u``
-    holds the entropy itself.
+    A power row (o, False) is log int f^o and a diagonal row (o, True)
+    is H_{o,o}.  Generalized Renyi reads the power rows of a and b,
+    Sharma-Mittal that of a, and the diagonal its row at a.
     """
-    (lu, du), (lv, dv) = u, v
+    if family is EntropyKind.GEN_RENYI_DIAG:
+        return [(a, True)]
+    return [(a, False), (b, False)] if family is EntropyKind.GEN_RENYI else [(a, False)]
+
+
+def _assemble(family: EntropyKind, a: float, b: float, values: list) -> EntropyResult:
+    """The entropy of ``family`` at orders (a, b) from the (value, error estimate) of
+    each row of ``_rows(family, a, b)``, in order: finite, or undefined where the
+    rows are the :class:`NonConvergence` the quadrature met instead."""
+    if isinstance(values, NonConvergence):
+        return EntropyResult.undefined(REASON_NONCONVERGENCE)
+    (lu, du), (lv, dv) = values[0], values[-1]   # only generalized Renyi has two
     if family is EntropyKind.GEN_RENYI_DIAG:
         return EntropyResult.finite(lu, du)
     if family is EntropyKind.GEN_RENYI:
@@ -504,19 +516,22 @@ def _entropies(laws: list, spec: EntropySpec, config: QuadConfig | None = None, 
                scaled_direct: bool = False) -> list[EntropyResult]:
     """:func:`entropy` of each law, the quadrature laws of one k together.
 
-    The closed form and the lambda series are taken law by law, so
-    their results are those of :func:`entropy` bit for bit.  The
+    Each route gives the rows of :func:`_rows`, which :func:`_assemble`
+    reads.  The closed form and the lambda series are taken law by law,
+    so their results are those of :func:`entropy` bit for bit.  The
     noncentral laws that refuse the series are integrated in one sweep
     per k.  Each of their results has the state and reason
     :func:`entropy` gives for that law alone, and its value and error
     estimate to 1e-14 relative (bit for bit on every curve of the
-    tests).  No result depends on what was evaluated before: a row that
-    :func:`_integrals` reads from earlier calls is the one it would form.
+    tests).  No result depends on what was evaluated before: a log f row
+    that :func:`_integrals` reads from earlier calls is the one it would
+    form.
     """
     triples = [_triple_of(law) for law in laws]
     family, a, b = _family(spec)
     if _excluded(family, a, b):
         return [EntropyResult.undefined(REASON_PARAMETER)] * len(laws)
+    rows = _rows(family, a, b)
     out = [None] * len(laws)
     sweeps = {}   # k -> indices of the laws NC(k, lam) integrates for
     miller = {}   # the series coefficients the laws share
@@ -524,9 +539,9 @@ def _entropies(laws: list, spec: EntropySpec, config: QuadConfig | None = None, 
         if not existence_gate(k, spec):
             out[i] = EntropyResult.undefined(REASON_GATE)
         elif scaled_direct:
-            (out[i],) = _entropy_quadrature([law], family, a, b, config)
+            out[i] = _assemble(family, a, b, _integrals([law], rows, config)[0])
         elif lam == 0.0:
-            out[i] = _gamma_closed_form(0.5 * k, 2.0 * c, family, a, b)
+            out[i] = _assemble(family, a, b, [_gamma_row(0.5 * k, 2.0 * c, o, d) for o, d in rows])
         else:
             res = _lambda_series(k, lam, family, a, b, miller)
             if res is None:
@@ -534,34 +549,9 @@ def _entropies(laws: list, spec: EntropySpec, config: QuadConfig | None = None, 
             else:
                 out[i] = scale_transform(res, spec, c)
     for k, idx in sweeps.items():
-        base = _entropy_quadrature([NoncentralChiSq(k, triples[i][1]) for i in idx],
-                                   family, a, b, config)
-        for i, res in zip(idx, base):
-            out[i] = scale_transform(res, spec, triples[i][2])
-    return out
-
-
-def _entropy_quadrature(laws: list, family: EntropyKind, a: float, b: float,
-                        config: QuadConfig | None) -> list[EntropyResult]:
-    diagonal = family is EntropyKind.GEN_RENYI_DIAG
-    if diagonal:
-        rows = [(a, "log"), (a, "power")]
-    else:
-        rows = [(o, "power") for o in _power_orders(family, a, b)]
-    out = []
-    for res in _integrals(laws, rows, config):
-        if isinstance(res, NonConvergence):
-            out.append(EntropyResult.undefined(REASON_NONCONVERGENCE))
-        elif diagonal:
-            num, den = res
-            err = (num.error_estimate
-                   + abs(num.value) * den.error_estimate / den.value) / den.value
-            out.append(_assemble(family, a, b, (-num.value / den.value, err)))
-        else:
-            # a power row sums terms >= 0, so its value is its magnitude,
-            # which integrate_rows only accepts when it is positive
-            out.append(_assemble(family, a, b, *[(math.log(r.value), r.error_estimate / r.value)
-                                                 for r in res]))
+        base = _integrals([NoncentralChiSq(k, triples[i][1]) for i in idx], rows, config)
+        for i, values in zip(idx, base):
+            out[i] = scale_transform(_assemble(family, a, b, values), spec, triples[i][2])
     return out
 
 
@@ -595,45 +585,28 @@ def scale_transform(base_result: EntropyResult, spec: EntropySpec,
     return EntropyResult.finite(value, err)
 
 
-def _gamma_log_integral_moment(shape: float, scale: float, a: float) -> tuple[float, float]:
-    """(log int f^a, its rounding bound) for a GammaLaw f, valid when a (shape-1) + 1 > 0.
+def _gamma_row(s: float, theta: float, o: float, diagonal: bool) -> tuple[float, float]:
+    """(row value, its rounding bound) for the gamma law with shape s and scale theta.
 
-    int f^a = Gamma(a(s-1)+1) / (Gamma(s)^a a^(a(s-1)+1) theta^(a-1)),
-    and 1 exactly at a = 1.  The four terms cancel at large shape (each
-    about s log s), so the bound is a few eps times their magnitudes.
+    With g = o (s - 1) + 1 > 0, log int f^o = log Gamma(g) - o log Gamma(s)
+    + (1 - o) log theta - g log o, 0 exactly at o = 1, and H_{o,o} =
+    log theta + log Gamma(s) + 1/o + (s - 1) + (1 - s)(psi(g) - log o), at
+    o = 1 the Shannon entropy term for term (the gate keeps s > 1/2, where
+    s - 1, 1 + (s - 1) and g are exact).  Each term is about s log s at
+    large s, and they cancel, so the bound is a few eps times their sizes.
     """
-    if a == 1.0:
+    if (o, diagonal) == _ORDER_ONE:
         return 0.0, 0.0
-    from scipy.special import gammaln  # deferred: scipy.special dominates CLI start-up
+    import scipy.special as sp  # deferred: scipy.special dominates CLI start-up
 
-    g = a * (shape - 1.0) + 1.0
-    terms = (gammaln(g), a * gammaln(shape), (1.0 - a) * math.log(scale), g * math.log(a))
-    return (terms[0] - terms[1] + terms[2] - terms[3],
-            _CLOSED_FORM_ROUNDING * _EPS * (1.0 + sum(map(abs, terms))))
-
-
-def _gamma_diagonal(s: float, theta: float, a: float) -> tuple[float, float]:
-    """(H_{a,a}, its rounding bound) for the gamma law with shape s and scale theta.
-
-    At a = 1 this is the Shannon entropy term for term: the gate keeps
-    s > 1/2, where s - 1, 1 + (s - 1) and g are exact.  Like
-    :func:`_gamma_log_integral_moment`, the terms cancel at large s.
-    """
-    from scipy.special import gammaln, psi  # deferred: scipy.special dominates CLI start-up
-
-    g = a * (s - 1.0) + 1.0
-    terms = (math.log(theta), gammaln(s), 1.0 / a + (s - 1.0), (1.0 - s) * (psi(g) - math.log(a)))
-    return (terms[0] + terms[1] + terms[2] + terms[3],
-            _CLOSED_FORM_ROUNDING * _EPS * (1.0 + sum(map(abs, terms))))
-
-
-def _gamma_closed_form(s: float, theta: float, family: EntropyKind,
-                       a: float, b: float) -> EntropyResult:
-    """The functional of a gamma law with shape s and scale theta, in closed form."""
-    if family is EntropyKind.GEN_RENYI_DIAG:
-        return _assemble(family, a, b, _gamma_diagonal(s, theta, a))
-    return _assemble(family, a, b, *[_gamma_log_integral_moment(s, theta, o)
-                                     for o in _power_orders(family, a, b)])
+    g = o * (s - 1.0) + 1.0
+    if diagonal:
+        terms = (math.log(theta), sp.gammaln(s), 1.0 / o + (s - 1.0),
+                 (1.0 - s) * (sp.psi(g) - math.log(o)))
+    else:
+        terms = (sp.gammaln(g), -o * sp.gammaln(s), (1.0 - o) * math.log(theta), -g * math.log(o))
+    t0, t1, t2, t3 = terms
+    return t0 + t1 + t2 + t3, _CLOSED_FORM_ROUNDING * _EPS * (1.0 + sum(map(abs, terms)))
 
 
 def _lambda_series(k: float, lam: float, family: EntropyKind, a: float, b: float,
@@ -642,54 +615,41 @@ def _lambda_series(k: float, lam: float, family: EntropyKind, a: float, b: float
 
     With p = k/2 - 1, f_{k,lam}(x) = e^(-lam/2) f_k(x) A(lam x / 4), where
     A(z) = 0F1(; k/2; z) (Johnson, Kotz & Balakrishnan, vol. 2, ch. 29),
-    so termwise integration against the central law f_k gives
+    so termwise integration against the central law f_k gives the rows
 
-        log int f^a = log int f_k^a - a lam/2 + log S(a),
-        S(a) = sum_n b_n(a) (a p + 1)_n (lam / 2a)^n,
+        log int f^o = log int f_k^o - o lam/2 + log S(o),
+        S(o) = sum_n b_n(o) (o p + 1)_n (lam / 2o)^n,
 
-    with b_n(a) the coefficients of A^a, and on the diagonal
-    H_{a,a} = H_{a,a}(chi2_k) + lam/2 - S'(a)/S(a).  The central terms
-    are the gamma closed forms, with their rounding bounds; an order-1
-    row is 0 exactly.  :func:`_series_sums` gives S and S' or refuses;
-    so does any overflow or non-finite value on the way.  ``miller``
-    holds the :class:`_Miller` coefficients by (k, a, diagonal), so that
-    the laws of one call compute them once; the sums are the same.
+    with b_n(o) the coefficients of A^o, and on the diagonal
+    H_{o,o} = H_{o,o}(chi2_k) + lam/2 - S'(o)/S(o).  The central terms
+    are the rows of :func:`_gamma_row`, with their rounding bounds; the
+    order-1 power row is 0 exactly.  :func:`_series_sums` gives S and S'
+    or refuses; so does any overflow or non-finite value on the way.
+    ``miller`` holds the :class:`_Miller` coefficients by (k, o, diagonal),
+    so that the laws of one call compute them once; the sums are the same.
     """
-    s = 0.5 * k
     miller = {} if miller is None else miller
-
-    def series(o, diagonal):
-        key = (k, o, diagonal)
-        if key not in miller:
-            miller[key] = _Miller(k, o, diagonal)
-        return _series_sums(lam, miller[key])
-
+    values = []
     try:
-        if family is EntropyKind.GEN_RENYI_DIAG:
-            row = series(a, True)
-            if row is None:
+        for o, diagonal in _rows(family, a, b):
+            if (o, diagonal) == _ORDER_ONE:
+                values.append((0.0, 0.0))
+                continue
+            if (k, o, diagonal) not in miller:
+                miller[k, o, diagonal] = _Miller(k, o, diagonal)
+            sums = _series_sums(lam, miller[k, o, diagonal])
+            if sums is None:
                 return None
-            t, dt, err, derr = row
-            h, dh = _gamma_diagonal(s, 2.0, a)
-            ratio = dt / (1.0 + t)
-            value = h + 0.5 * lam - ratio
-            rows = [(value, dh + (derr + abs(ratio) * err) / (1.0 + t)
-                     + 2.0 * _EPS * (abs(h) + 0.5 * lam + abs(ratio)))]
-        else:
-            rows = []
-            for o in _power_orders(family, a, b):
-                if o == 1.0:
-                    rows.append((0.0, 0.0))
-                    continue
-                row = series(o, False)
-                if row is None:
-                    return None
-                t, _, err, _ = row
-                g, dg = _gamma_log_integral_moment(s, 2.0, o)
-                log_s = math.log1p(t)
-                rows.append((g - 0.5 * o * lam + log_s, dg + err / (1.0 + t)
-                             + 2.0 * _EPS * (abs(g) + 0.5 * o * lam + abs(log_s))))
-        res = _assemble(family, a, b, *rows)
+            t, dt, err, derr = sums
+            g, dg = _gamma_row(0.5 * k, 2.0, o, diagonal)
+            if diagonal:
+                corr = -(dt / (1.0 + t))
+                shift, err = 0.5 * lam, derr + abs(corr) * err
+            else:
+                shift, corr = -(0.5 * o * lam), math.log1p(t)
+            values.append((g + shift + corr, dg + err / (1.0 + t)
+                           + 2.0 * _EPS * (abs(g) + abs(shift) + abs(corr))))
+        res = _assemble(family, a, b, values)
     except (OverflowError, ValueError):
         return None
     err = res.error_estimate + 2.0 * _EPS * abs(res.value)   # the assembly's own rounding

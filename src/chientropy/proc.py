@@ -36,6 +36,7 @@ from .entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
+    _EPS,
     _entropies,
     _excluded,
     _family,
@@ -186,7 +187,8 @@ def bessel_limit_entropy(spec: EntropySpec) -> EntropyResult:
     if _excluded(family, a, b):
         return EntropyResult.undefined(REASON_PARAMETER)
     if family is EntropyKind.SHARMA_MITTAL and b > 1.0:
-        return EntropyResult.finite(1.0 / (b - 1.0))
+        limit = 1.0 / (b - 1.0)   # b - 1 and the quotient round once each
+        return EntropyResult.finite(limit, 2.0 * _EPS * limit)
     return EntropyResult.infinite()
 
 

@@ -15,6 +15,8 @@ from chientropy.entropy import (
     EntropyKind,
     EntropyResult,
     EntropySpec,
+    _family,
+    _lambda_series,
     entropy,
     existence_gate,
     lambda_convergence_study,
@@ -319,15 +321,20 @@ def test_error_estimates_bound_gamma_closed_forms():
 
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 2.0, 3.3])
 def test_family_identities_bit_for_bit(alpha):
-    # with int f = 1, Renyi is generalized Renyi at beta = 1, Shannon the
-    # diagonal at alpha = 1 and Tsallis Sharma-Mittal at beta = alpha;
-    # every route evaluates both sides of each pair identically
+    # with int f = 1, Renyi is generalized Renyi at beta = 1 (or, with
+    # the orders swapped, at alpha = 1), Shannon the diagonal at alpha = 1
+    # and Tsallis Sharma-Mittal at beta = alpha; every route (quadrature,
+    # closed form, lambda series, scaling) evaluates both sides of each
+    # pair identically, the order-1 power row included
     pairs = [(EntropySpec.renyi(alpha), EntropySpec.gen_renyi(alpha, 1.0)),
+             (EntropySpec.renyi(alpha), EntropySpec.gen_renyi(1.0, alpha)),
              (EntropySpec.shannon(), EntropySpec.gen_renyi_diag(1.0)),
              (EntropySpec.tsallis(alpha), EntropySpec.sharma_mittal(alpha, alpha))]
     laws = [NoncentralChiSq(3.0, 5.0), CentralChiSq(2.5), GammaLaw(1.7, 0.6),
-            ScaledLaw(NoncentralChiSq(4.0, 2.0), 3.5)]
+            ScaledLaw(NoncentralChiSq(4.0, 2.0), 3.5), NoncentralChiSq(3.0, 0.05)]
     for named, general in pairs:
+        for spec in (named, general):
+            assert _lambda_series(3.0, 0.05, *_family(spec)) is not None, spec
         for law in laws:
             assert entropy(law, named) == entropy(law, general), (law, named)
         assert entropy(laws[3], named, scaled_direct=True) == \

@@ -1,4 +1,4 @@
-"""Golden values: the exact (value, error estimate) of 47 evaluations.
+"""Golden values: the exact (value, error estimate) of 61 evaluations.
 
 A change to the quadrature or the log-Bessel route that is meant to be
 bit-identical must leave every pair as it is; a change that moves one on
@@ -8,10 +8,12 @@ generated with::
     PYTHONPATH=src:tests python -c "import test_golden as t; t.print_table()"
 
 The NC(2.2, 1e-5) rows and the Bessel rows from t = 10 on take the
-lambda series; the rows that pin a quadrature setting (budget 4,
-split point 2) are on laws that refuse it.  Budgets 2 and 3 never
-converge (no law stops before level 2), so their rows pin the best
-value and estimate the NonConvergence carries.
+lambda series, and the chi2(3.0) and 2.5 Gamma(1.7, 0.4) rows not
+marked "direct" (one per spec) the gamma closed form.  The rows that
+pin a quadrature setting (budget 4, split point 2) are on laws that
+refuse the series.  Budgets 2 and 3 never converge (no law stops
+before level 2), so their rows pin the best value and estimate the
+NonConvergence carries.
 """
 
 import math
@@ -54,6 +56,10 @@ def cases():
     for name, law, kind in [("chi2(3.0)", CentralChiSq(3.0), "diag-1.8"),
                             ("Gamma(1.7, 0.4)", GammaLaw(1.7, 0.4), "gen-renyi")]:
         yield f"{name} {kind} direct", entropy(law, SPECS[kind], scaled_direct=True)
+    for name, law in [("chi2(3.0)", CentralChiSq(3.0)),
+                      ("2.5 Gamma(1.7, 0.4)", ScaledLaw(GammaLaw(1.7, 0.4), 2.5))]:
+        for kind, spec in SPECS.items():
+            yield f"{name} {kind}", entropy(law, spec)
     grid = TimeGrid(tuple(10.0 ** e for e in range(-6, 8)))
     for row in entropy_curve(BesselParams(1.3, 0.9, 0.4), grid, SPECS["shannon"]):
         yield f"Bessel t = {row.t} shannon", row.result
@@ -103,6 +109,20 @@ GOLDEN = [
     ('7.0 NC(9.0, 150.0) renyi-2 direct', '0x1.9ade9bf9b1861p+2', '0x1.2e64e2d8b5c83p-42'),
     ('chi2(3.0) diag-1.8 direct', '0x1.be648c7312f54p+0', '0x1.2a41e913b9021p-44'),
     ('Gamma(1.7, 0.4) gen-renyi direct', '0x1.f54dcec520cddp-2', '0x1.a4447b7ff40c2p-46'),
+    ('chi2(3.0) shannon', '0x1.06ed671866daep+1', '0x1.aa84b0df6af49p-49'),
+    ('chi2(3.0) renyi-0.5', '0x1.2cd51cf66cdcap+1', '0x1.2f92e64ec31d9p-48'),
+    ('chi2(3.0) renyi-2', '0x1.d67f1c864beb4p+0', '0x1.a916b9a44f78cp-49'),
+    ('chi2(3.0) gen-renyi', '0x1.ff91fb5d04ce5p+0', '0x1.39fd40b0eebcbp-48'),
+    ('chi2(3.0) diag-1.8', '0x1.be648c7312f56p+0', '0x1.7e1ddbea1e3c4p-49'),
+    ('chi2(3.0) tsallis-1.4', '0x1.596fcb4045be4p+0', '0x1.3760ad2188382p-49'),
+    ('chi2(3.0) sharma-mittal', '0x1.eebe63dec2d50p-1', '0x1.6200904fa941cp-51'),
+    ('2.5 Gamma(1.7, 0.4) shannon', '0x1.754d2bd891b85p+0', '0x1.788c9d46ea570p-49'),
+    ('2.5 Gamma(1.7, 0.4) renyi-0.5', '0x1.bca0737e667e7p+0', '0x1.0ca88a4ce3fa4p-48'),
+    ('2.5 Gamma(1.7, 0.4) renyi-2', '0x1.414cd35c7acacp+0', '0x1.8938363e208c9p-49'),
+    ('2.5 Gamma(1.7, 0.4) gen-renyi', '0x1.67e57b384f374p+0', '0x1.1714bcf1ba403p-48'),
+    ('2.5 Gamma(1.7, 0.4) diag-1.8', '0x1.2aa166b184c40p+0', '0x1.2dd78dc7d3e57p-49'),
+    ('2.5 Gamma(1.7, 0.4) tsallis-1.4', '0x1.0b31b404538d1p+0', '0x1.5124492a2f67bp-49'),
+    ('2.5 Gamma(1.7, 0.4) sharma-mittal', '0x1.b8ad21b2867cep-1', '0x1.128ef130cfd63p-50'),
     ('Bessel t = 1e-06 shannon', '-0x1.83593f30b8fc6p+2', '0x1.3b5c84631056ap-27'),
     ('Bessel t = 1e-05 shannon', '-0x1.39aa67eb38bf8p+2', '0x1.c4d11e68a52b2p-31'),
     ('Bessel t = 0.0001 shannon', '-0x1.dff5fb34ea820p+1', '0x1.3b74a66bb6d15p-34'),
@@ -133,7 +153,7 @@ GOLDEN = [
 
 def test_every_value_and_estimate_is_bit_identical():
     got = [(label, res.value.hex(), res.error_estimate.hex()) for label, res in cases()]
-    assert len(got) == len(GOLDEN) == 47
+    assert len(got) == len(GOLDEN) == 61
     assert got == GOLDEN
 
 
